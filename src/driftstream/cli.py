@@ -20,6 +20,7 @@ from .drift import Direction, detect_drifts_per_class, write_drift_csv
 from .errors import ConfigError, DriftStreamError, InvalidConfig
 from .models import save_model
 from .evaluation import (
+    _pretrain,
     export_report,
     latency_benchmark,
     prequential_run,
@@ -33,7 +34,7 @@ from .streams import (
     random_oversample,
     write_csv,
 )
-from .telemetry import Segment, to_features
+from .telemetry import Segment
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -134,6 +135,17 @@ def _assemble(cfg: ExperimentConfig):
     return merged[:boundary], merged[boundary:], merged, boundary
 
 
+def _detect_drifts(cfg: ExperimentConfig, merged):
+    return detect_drifts_per_class(
+        merged,
+        cfg.pht.feature_index,
+        delta=cfg.pht.delta,
+        threshold=cfg.pht.threshold,
+        min_instances=cfg.pht.min_instances,
+        direction=Direction(cfg.pht.direction),
+    )
+
+
 def _emit_summary(cfg: ExperimentConfig, summary: dict, quiet: bool) -> None:
     if quiet:
         return
@@ -159,14 +171,7 @@ def _emit_summary(cfg: ExperimentConfig, summary: dict, quiet: bool) -> None:
 
 def cmd_run(cfg: ExperimentConfig, quiet: bool, save_models: bool = False) -> int:
     pretrain, stream, merged, boundary = _assemble(cfg)
-    drift_events = detect_drifts_per_class(
-        merged,
-        cfg.pht.feature_index,
-        delta=cfg.pht.delta,
-        threshold=cfg.pht.threshold,
-        min_instances=cfg.pht.min_instances,
-        direction=Direction(cfg.pht.direction),
-    )
+    drift_events = _detect_drifts(cfg, merged)
     os.makedirs(cfg.out_dir, exist_ok=True)
     write_drift_csv(drift_events, os.path.join(cfg.out_dir, "drift_events.csv"))
 
@@ -187,13 +192,11 @@ def cmd_run(cfg: ExperimentConfig, quiet: bool, save_models: bool = False) -> in
             cfg.window,
             shuffle_seed=named_seed(cfg.seed, "pretrain-shuffle"),
             epochs=cfg.epochs,
-            drift_events=drift_events,
         )
         export_report(report, os.path.join(cfg.out_dir, f"{name}_metrics.{cfg.format}"), cfg.format)
         if save_models:
             save_model(static_model, os.path.join(cfg.out_dir, f"{name}_static.model.json"))
             save_model(online_model, os.path.join(cfg.out_dir, f"{name}_online.model.json"))
-        # measured latencies stay out of the files so reruns are byte-identical
         model_summary = {
             "arms": report.summary["arms"],
             "max_accuracy_gap_points": report.summary["max_accuracy_gap_points"],
@@ -210,14 +213,7 @@ def cmd_run(cfg: ExperimentConfig, quiet: bool, save_models: bool = False) -> in
 
 def cmd_drift(cfg: ExperimentConfig, quiet: bool) -> int:
     _, _, merged, boundary = _assemble(cfg)
-    drift_events = detect_drifts_per_class(
-        merged,
-        cfg.pht.feature_index,
-        delta=cfg.pht.delta,
-        threshold=cfg.pht.threshold,
-        min_instances=cfg.pht.min_instances,
-        direction=Direction(cfg.pht.direction),
-    )
+    drift_events = _detect_drifts(cfg, merged)
     os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, "drift_events.csv")
     write_drift_csv(drift_events, path)
@@ -238,11 +234,8 @@ def cmd_bench(cfg: ExperimentConfig, quiet: bool) -> int:
     order = np.random.default_rng(named_seed(cfg.seed, "pretrain-shuffle")).permutation(len(pretrain))
     models = {}
     for name in cfg.models:
-        model = cfg.build_model(name)
-        for idx in order:
-            event = pretrain[int(idx)]
-            model.learn_one(to_features(event), int(event.label))
-        models[name] = model
+        models[name] = cfg.build_model(name)
+        _pretrain(models[name], pretrain, order, 1)
     report = latency_benchmark(
         models,
         sample_stream,

@@ -69,11 +69,6 @@ class EmptyWindow(DriftStreamError):
         super().__init__("metric window is empty")
 
 
-class ClockUnavailable(DriftStreamError):
-    def __init__(self):
-        super().__init__("no monotonic high-resolution clock available")
-
-
 class ConfigError(DriftStreamError):
     """Experiment configuration error; names the offending field."""
 

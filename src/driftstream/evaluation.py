@@ -11,16 +11,18 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import statistics
 import time
+from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from copy import deepcopy
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import ClockUnavailable, EmptyWindow, PrequentialAbort
+from .errors import EmptyWindow, NonFiniteInput, PrequentialAbort
 from .telemetry import TelemetryEvent, to_features
 
 DEFAULT_WINDOW = 500
@@ -38,17 +40,50 @@ def rolling_accuracy(buffer: Sequence[tuple[int, int, float]]) -> float:
     return correct / len(buffer)
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties replaced by the group average."""
-    order = np.argsort(values, kind="mergesort")
-    sorted_values = values[order]
-    boundaries = np.flatnonzero(np.r_[True, sorted_values[1:] != sorted_values[:-1], True])
-    counts = np.diff(boundaries)
-    # group occupying sorted slots [b, b+c) gets average rank (b+1 + b+c)/2
-    group_ranks = (boundaries[:-1] + 1 + boundaries[1:]) / 2.0
-    ranks = np.empty(len(values))
-    ranks[order] = np.repeat(group_ranks, counts)
-    return ranks
+class _PairCounter:
+    """Sorted scores per class and ``c2``, the doubled concordant-pair count.
+
+    A (positive, negative) pair counts 2 for a win and 1 for a tie, so ``c2 / 2`` is
+    the Mann-Whitney U. Adding or removing a score costs O(log W) search plus a memmove.
+    """
+
+    __slots__ = ("by_label", "c2")
+
+    def __init__(self):
+        self.by_label: tuple[list[float], list[float]] = ([], [])
+        self.c2 = 0
+
+    def _pairs(self, y: int, score: float) -> int:
+        # doubled concordant pairs the score forms with the other class
+        other = self.by_label[1 - y]
+        lo = bisect_left(other, score)
+        hi = bisect_right(other, score)
+        return lo + hi if y == 1 else 2 * len(other) - lo - hi
+
+    def add(self, y: int, score: float) -> None:
+        self.c2 += self._pairs(y, score)
+        insort(self.by_label[y], score)
+
+    def remove(self, y: int, score: float) -> None:
+        own = self.by_label[y]
+        del own[bisect_left(own, score)]
+        self.c2 -= self._pairs(y, score)
+
+    def auc(self) -> tuple[float, bool]:
+        """P(score+ > score-) + 0.5 P(tie); (0.5, True) for a single-class window."""
+        n_neg, n_pos = len(self.by_label[0]), len(self.by_label[1])
+        if n_pos == 0 or n_neg == 0:
+            return 0.5, True
+        return self.c2 / (2 * n_pos * n_neg), False
+
+
+def _check_record(y_true: int, score: float) -> int:
+    """The label as an int; rejects what would corrupt the sorted lists."""
+    if y_true not in (0, 1):
+        raise NonFiniteInput(f"label {y_true!r} (must be 0 or 1)")
+    if not math.isfinite(score):
+        raise NonFiniteInput("score")
+    return int(y_true)
 
 
 def rolling_auc_flagged(buffer: Sequence[tuple[int, int, float]]) -> tuple[float, bool]:
@@ -59,16 +94,10 @@ def rolling_auc_flagged(buffer: Sequence[tuple[int, int, float]]) -> tuple[float
     """
     if len(buffer) == 0:
         raise EmptyWindow()
-    labels = np.fromiter((y for y, _, _ in buffer), dtype=np.int64, count=len(buffer))
-    n_pos = int(labels.sum())
-    n_neg = len(labels) - n_pos
-    if n_pos == 0 or n_neg == 0:
-        return 0.5, True
-    scores = np.fromiter((s for _, _, s in buffer), dtype=np.float64, count=len(buffer))
-    ranks = _average_ranks(scores)
-    rank_sum_pos = float(ranks[labels == 1].sum())
-    auc = (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
-    return auc, False
+    counter = _PairCounter()
+    for y, _, score in buffer:
+        counter.add(_check_record(y, score), score)
+    return counter.auc()
 
 
 def rolling_auc(buffer: Sequence[tuple[int, int, float]]) -> float:
@@ -76,7 +105,7 @@ def rolling_auc(buffer: Sequence[tuple[int, int, float]]) -> float:
 
 
 class RollingMetrics:
-    """Sliding-window accuracy and AUC over (label, prediction, score)."""
+    """Sliding-window accuracy and AUC over (label, prediction, score), O(log W) per update."""
 
     def __init__(self, window: int = DEFAULT_WINDOW):
         if window < 1:
@@ -84,20 +113,23 @@ class RollingMetrics:
         self.window = window
         self._buffer: deque[tuple[int, int, float]] = deque(maxlen=window)
         self._correct = 0
+        self._pairs = _PairCounter()
 
     def update(self, y_true: int, score: float) -> tuple[float, float, bool]:
         """Add one scored sample; returns (accuracy, auc, auc_degenerate)."""
+        y_true = _check_record(y_true, score)
         pred = 1 if score >= SCORE_THRESHOLD else 0
         if len(self._buffer) == self._buffer.maxlen:
-            old_y, old_pred, _ = self._buffer[0]
+            old_y, old_pred, old_score = self._buffer[0]
             if old_y == old_pred:
                 self._correct -= 1
+            self._pairs.remove(old_y, old_score)
         self._buffer.append((y_true, pred, score))
         if y_true == pred:
             self._correct += 1
-        accuracy = self._correct / len(self._buffer)
-        auc, degenerate = rolling_auc_flagged(self._buffer)
-        return accuracy, auc, degenerate
+        self._pairs.add(y_true, score)
+        auc, degenerate = self._pairs.auc()
+        return self._correct / len(self._buffer), auc, degenerate
 
     @property
     def buffer(self) -> tuple[tuple[int, int, float], ...]:
@@ -112,11 +144,9 @@ class ArmSeries:
     """Per-event record of one arm over the streamed segment."""
 
     scores: list[float] = field(default_factory=list)
-    predictions: list[int] = field(default_factory=list)
     accuracy: list[float] = field(default_factory=list)
     auc: list[float] = field(default_factory=list)
     auc_degenerate: list[bool] = field(default_factory=list)
-    latency_ms: list[float] = field(default_factory=list)
     sfd_end_accuracy: float = float("nan")
 
 
@@ -127,11 +157,8 @@ class ExperimentReport:
     window: int
     event_indices: list[int]
     labels: list[int]
-    segments: list[str]
     arms: dict[str, ArmSeries]
-    drift_events: Optional[list] = None
     summary: dict = field(default_factory=dict)
-    metric_mode: str = "sliding"
 
 
 def _pretrain(model, events: Sequence[TelemetryEvent], order: np.ndarray, epochs: int) -> None:
@@ -159,7 +186,6 @@ def prequential_run(
     *,
     shuffle_seed: Union[int, np.random.SeedSequence, None] = None,
     epochs: int = 1,
-    drift_events: Optional[list] = None,
     metric_mode: str = "sliding",
 ) -> ExperimentReport:
     """Pretrain both arms on ``pretrain``, then stream ``stream``.
@@ -184,34 +210,23 @@ def prequential_run(
     metrics = {"static": RollingMetrics(window), "online": RollingMetrics(window)}
     event_indices: list[int] = []
     labels: list[int] = []
-    segments: list[str] = []
-    clock = time.perf_counter_ns
 
     for i, event in enumerate(stream):
         x = to_features(event)
         y = int(event.label)
         try:
-            t0 = clock()
             s_static = static_model.score_one(x)
-            t1 = clock()
             s_online = online_model.score_one(x)
             online_model.learn_one(x, y)
-            t2 = clock()
         except Exception as err:  # propagate with the failing stream position
             raise PrequentialAbort(i, err) from err
 
         labels.append(y)
-        segments.append(event.segment.value)
         emit = metric_mode == "sliding" or (i + 1) % window == 0
-        for name, score, elapsed in (
-            ("static", s_static, (t1 - t0) / 1e6),
-            ("online", s_online, (t2 - t1) / 1e6),
-        ):
+        for name, score in (("static", s_static), ("online", s_online)):
             arm = arms[name]
             accuracy, auc, degenerate = metrics[name].update(y, score)
             arm.scores.append(score)
-            arm.predictions.append(1 if score >= SCORE_THRESHOLD else 0)
-            arm.latency_ms.append(elapsed)
             if emit:
                 arm.accuracy.append(accuracy)
                 arm.auc.append(auc)
@@ -223,10 +238,7 @@ def prequential_run(
         window=window,
         event_indices=event_indices,
         labels=labels,
-        segments=segments,
         arms=arms,
-        drift_events=drift_events,
-        metric_mode=metric_mode,
     )
     report.summary = _summarize(report)
     return report
@@ -254,11 +266,6 @@ def _summarize(report: ExperimentReport) -> dict:
         if a > 0.0
     ]
     summary["max_accuracy_gap_relative"] = max(rel) if rel else None
-    # medians over the retained raw per-event samples (kept for audit)
-    summary["median_latency_ms"] = {
-        name: (statistics.median(arm.latency_ms) if arm.latency_ms else None)
-        for name, arm in report.arms.items()
-    }
     return summary
 
 
@@ -359,8 +366,6 @@ def latency_benchmark(
     static copy stays frozen while the online copy keeps learning across
     trials. Warm-up trials run first and are discarded.
     """
-    if not time.get_clock_info("perf_counter").monotonic:
-        raise ClockUnavailable()
     if len(sample_stream) == 0:
         raise EmptyWindow()
     samples = [(to_features(e), int(e.label)) for e in sample_stream]

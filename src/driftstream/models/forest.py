@@ -107,20 +107,23 @@ class AdaptiveRandomForest:
 
     def learn_one(self, x: Sequence[float], y: int) -> None:
         check_sample(x, y)
-        for i in range(self.n_trees):
+        if self.bagging:
+            # one vector draw yields the same stream as n_trees scalar draws
+            weights = self._bag_rng.poisson(self.lambda_bag, size=self.n_trees).tolist()
+        else:
+            weights = [1] * self.n_trees
+        for i, k in enumerate(weights):
             tree = self.trees[i]
-            predicted = tree.score_one(x) >= 0.5
+            # one routing serves both the prequential error and the update
+            routed = tree._route(x)
+            predicted = routed[0].probability() >= 0.5
             error = 1.0 if predicted != (y == 1) else 0.0
 
-            if self.bagging:
-                k = int(self._bag_rng.poisson(self.lambda_bag))
-            else:
-                k = 1
             if k > 0:
-                tree.learn_one(x, y, weight=k)
+                tree._learn_routed(routed, x, y, k)
                 background = self._background[i]
                 if background is not None:
-                    background.learn_one(x, y, weight=k)
+                    background._learn_routed(background._route(x), x, y, k)
 
             if not self.drift_detection:
                 continue

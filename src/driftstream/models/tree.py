@@ -125,7 +125,11 @@ class HoeffdingTree:
         check_sample(x, y)
         if weight < 1:
             raise ValueError("weight must be a positive integer")
-        leaf, parent, side = self._route(x)
+        self._learn_routed(self._route(x), x, y, weight)
+
+    def _learn_routed(self, routed, x: Sequence[float], y: int, weight: int) -> None:
+        """Unchecked update of the leaf ``_route(x)`` returned, then a split attempt."""
+        leaf, parent, side = routed
         leaf.update(x, y, float(weight))
         if leaf.weight_since_attempt >= self.grace_period:
             leaf.weight_since_attempt = 0.0

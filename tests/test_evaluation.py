@@ -1,10 +1,13 @@
 import json
+import math
 import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from driftstream.errors import EmptyWindow, PrequentialAbort
+from driftstream.errors import EmptyWindow, NonFiniteInput, PrequentialAbort
 from driftstream.evaluation import (
     RollingMetrics,
     export_report,
@@ -135,6 +138,58 @@ def test_metric_value_is_pure_function_of_window_contents():
     for y, s in [(1, 0.6), (0, 0.6), (1, 0.2)] + tail:
         rb = b.update(y, s)
     assert ra == rb
+
+
+# few distinct scores, -0.0 among them, so ties are common
+TIE_SCORES = (0.0, -0.0, 0.25, 0.5, 0.75, 1.0)
+
+
+def recount(records):
+    """(accuracy, auc, degenerate) of a window from scratch, AUC by all pairs."""
+    correct = sum(1 for y, s in records if y == (1 if s >= 0.5 else 0))
+    pos = [s for y, s in records if y == 1]
+    neg = [s for y, s in records if y == 0]
+    if not pos or not neg:
+        return correct / len(records), 0.5, True
+    wins = sum(1 for p in pos for n in neg if p > n)
+    ties = sum(1 for p in pos for n in neg if p == n)
+    return correct / len(records), (wins + 0.5 * ties) / (len(pos) * len(neg)), False
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    window=st.integers(1, 64),
+    # runs of one class, up to 40 long, so single-class windows occur
+    runs=st.lists(
+        st.tuples(st.integers(0, 1), st.lists(st.sampled_from(TIE_SCORES), min_size=1, max_size=40)),
+        min_size=1,
+        max_size=8,
+    ),
+)
+def test_incremental_metrics_equal_recount_exactly(window, runs):
+    metrics = RollingMetrics(window=window)
+    history = []
+    for y, scores in runs:
+        for s in scores:
+            history.append((y, s))
+            assert metrics.update(y, s) == recount(history[-window:])
+
+
+@pytest.mark.parametrize("y, score", [(1, math.nan), (0, math.inf), (1, -math.inf), (2, 0.7)])
+def test_bad_record_rejected_before_any_state_change(y, score):
+    prefix = [(1, 0.8), (0, 0.3), (0, 0.6)]
+    tail = [(1, 0.9), (0, 0.1), (1, 0.4), (0, 0.4)]
+    clean, probed = RollingMetrics(window=3), RollingMetrics(window=3)
+    for y0, s0 in prefix:
+        clean.update(y0, s0)
+        probed.update(y0, s0)
+    with pytest.raises(NonFiniteInput):
+        probed.update(y, score)
+    with pytest.raises(NonFiniteInput):
+        rolling_auc_flagged(buffer_of([1, 0], [0.8, 0.3]) + [(y, 0, score)])
+    assert probed.buffer == clean.buffer
+    for y1, s1 in tail:
+        assert probed.update(y1, s1) == clean.update(y1, s1)
 
 
 # -- prequential harness ----------------------------------------------------------

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 
 from driftstream.models import AdaptiveRandomForest, HoeffdingTree
@@ -60,6 +62,16 @@ def test_label_flip_triggers_tree_replacement():
         if i == n // 2 - 1 + 2000:
             break
     assert forest.n_replacements - at_flip >= 1
+
+
+def test_forest_state_after_label_flip_matches_golden_hash():
+    # taken before the forest learned in one routing pass per tree
+    forest = AdaptiveRandomForest(seed=7)
+    for i, (x, y) in enumerate(random_stream(4000, 5)):
+        forest.learn_one(x, 1 - y if i >= 2000 else y)
+    assert (forest.n_warnings, forest.n_replacements) == (7, 4)
+    digest = hashlib.sha256(snapshot_json(forest).encode()).hexdigest()
+    assert digest == "09ee995f5fe47579f07e93b0db4514a20a3c40bf370744785a581fa9264aa616"
 
 
 def test_single_tree_reduction_equals_plain_tree():
