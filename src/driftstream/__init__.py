@@ -15,7 +15,6 @@ from .drift import (
     DriftEvent,
     PageHinkley,
     correlation_rank,
-    detect_drifts,
     detect_drifts_per_class,
 )
 from .evaluation import (
@@ -25,7 +24,6 @@ from .evaluation import (
     export_report,
     latency_benchmark,
     prequential_run,
-    rolling_accuracy,
     rolling_auc,
 )
 from .models import (
@@ -63,7 +61,6 @@ __all__ = [
     "AdaptiveRandomForest",
     "ClassContext",
     "correlation_rank",
-    "detect_drifts",
     "detect_drifts_per_class",
     "Direction",
     "DriftEvent",
@@ -87,7 +84,6 @@ __all__ = [
     "PageHinkley",
     "prequential_run",
     "random_oversample",
-    "rolling_accuracy",
     "rolling_auc",
     "RollingMetrics",
     "save_model",

@@ -197,13 +197,7 @@ def cmd_run(cfg: ExperimentConfig, quiet: bool, save_models: bool = False) -> in
         if save_models:
             save_model(static_model, os.path.join(cfg.out_dir, f"{name}_static.model.json"))
             save_model(online_model, os.path.join(cfg.out_dir, f"{name}_online.model.json"))
-        model_summary = {
-            "arms": report.summary["arms"],
-            "max_accuracy_gap_points": report.summary["max_accuracy_gap_points"],
-            "max_accuracy_gap_relative": report.summary["max_accuracy_gap_relative"],
-            "stream_length": report.summary["stream_length"],
-        }
-        summary["models"][name] = model_summary
+        summary["models"][name] = {k: v for k, v in report.summary.items() if k != "window"}
     with open(os.path.join(cfg.out_dir, "summary.json"), "w", encoding="utf-8") as fh:
         json.dump(summary, fh, sort_keys=True, indent=2)
     _write_manifest(cfg, "run")
@@ -254,7 +248,7 @@ def cmd_bench(cfg: ExperimentConfig, quiet: bool) -> int:
 def cmd_gen(cfg: ExperimentConfig, quiet: bool) -> int:
     if cfg.stream.mode != "synth":
         raise ConfigError("stream.mode", "gen requires synth mode")
-    sfd, hfd = generate_synthetic_segments(cfg.stream.synth, named_seed(cfg.seed, "generator"))
+    sfd, hfd = _load_segments(cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
     sfd_path = os.path.join(cfg.out_dir, "sfd.csv")
     hfd_path = os.path.join(cfg.out_dir, "hfd.csv")

@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from typing import Optional
 
 import numpy as np
 
 from .drift import Direction
 from .errors import ConfigError, InvalidConfig
-from .models import AdaptiveRandomForest, GaussianNB, HoeffdingTree, LogisticRegression
+from .models import AdaptiveRandomForest, GaussianNB, LogisticRegression
 from .streams import OversampleConfig, StreamConfig
 from .telemetry import N_FEATURES, OSNR_RX_INDEX
 
@@ -128,74 +128,40 @@ class ExperimentConfig:
         instances of the same kind start bit-identical.
         """
         if name == "lr":
-            return LogisticRegression(
-                n_features=N_FEATURES,
-                learning_rate=self.lr.learning_rate,
-                standardize=self.lr.standardize,
-            )
+            return LogisticRegression(n_features=N_FEATURES, **asdict(self.lr))
         if name == "nb":
-            return GaussianNB(n_features=N_FEATURES, min_variance=self.nb.min_variance)
+            return GaussianNB(n_features=N_FEATURES, **asdict(self.nb))
         if name == "arf":
             return AdaptiveRandomForest(
-                n_features=N_FEATURES,
-                n_trees=self.arf.n_trees,
-                max_features=self.arf.max_features,
-                lambda_bag=self.arf.lambda_bag,
-                grace_period=self.arf.grace_period,
-                split_confidence=self.arf.split_confidence,
-                tie_threshold=self.arf.tie_threshold,
-                n_split_candidates=self.arf.n_split_candidates,
-                min_split_gain=self.arf.min_split_gain,
-                warn_threshold=self.arf.warn_threshold,
-                drift_threshold=self.arf.drift_threshold,
-                seed=named_seed(self.seed, f"model:{name}"),
-            )
-        if name == "ht":
-            return HoeffdingTree(
-                n_features=N_FEATURES,
-                grace_period=self.arf.grace_period,
-                split_confidence=self.arf.split_confidence,
-                tie_threshold=self.arf.tie_threshold,
-                n_split_candidates=self.arf.n_split_candidates,
-                min_split_gain=self.arf.min_split_gain,
+                n_features=N_FEATURES, **asdict(self.arf), seed=named_seed(self.seed, f"model:{name}")
             )
         raise ConfigError("models", f"unknown model name {name!r}")
 
     def to_dict(self) -> dict:
-        data = asdict(self)
-        data["stream"]["synth"] = asdict(self.stream.synth)
-        data["oversample"] = asdict(self.oversample) if self.oversample else None
-        return data
+        return asdict(self)
 
 
-def _apply_section(target, data: dict, section: str) -> None:
+def _apply_section(target, data, section: str) -> None:
+    """Set ``data``'s keys on the dataclass ``target``, descending into nested sections."""
+    if not isinstance(data, dict):
+        raise ConfigError(section or "config", "must be a JSON object")
+    names = {f.name for f in fields(target)}
     for key, value in data.items():
-        if not hasattr(target, key):
-            raise ConfigError(f"{section}.{key}", "unknown config key")
-        setattr(target, key, value)
+        name = f"{section}.{key}" if section else key
+        if key not in names:
+            raise ConfigError(name, "unknown config key")
+        if key == "oversample" and value is not None:
+            target.oversample = OversampleConfig()
+        current = getattr(target, key)
+        if is_dataclass(current):
+            _apply_section(current, value, name)
+        else:
+            setattr(target, key, value)
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
     cfg = ExperimentConfig()
-    for key, value in data.items():
-        if key == "stream":
-            stream_data = dict(value)
-            synth_data = stream_data.pop("synth", None)
-            _apply_section(cfg.stream, stream_data, "stream")
-            if synth_data is not None:
-                _apply_section(cfg.stream.synth, synth_data, "stream.synth")
-        elif key == "oversample":
-            if value is None:
-                cfg.oversample = None
-            else:
-                cfg.oversample = OversampleConfig()
-                _apply_section(cfg.oversample, value, "oversample")
-        elif key in ("pht", "lr", "nb", "arf", "bench"):
-            _apply_section(getattr(cfg, key), value, key)
-        elif hasattr(cfg, key):
-            setattr(cfg, key, value)
-        else:
-            raise ConfigError(key, "unknown config key")
+    _apply_section(cfg, data, "")
     return cfg
 
 
@@ -205,6 +171,4 @@ def load_config(path: str) -> ExperimentConfig:
             data = json.load(fh)
         except json.JSONDecodeError as err:
             raise ConfigError("config", f"not valid JSON: {err}") from err
-    if not isinstance(data, dict):
-        raise ConfigError("config", "top-level JSON value must be an object")
     return config_from_dict(data)

@@ -37,7 +37,6 @@ class Direction(str, Enum):
 class ClassContext(str, Enum):
     NORMAL = "Normal"
     FAILURE = "Failure"
-    UNCONDITIONED = "Unconditioned"
 
 
 @dataclass(frozen=True)
@@ -154,24 +153,6 @@ class PageHinkley:
         return det
 
 
-def detect_drifts(
-    values: Sequence[float],
-    *,
-    feature: int = OSNR_RX_INDEX,
-    delta: float = 0.005,
-    threshold: float = 50.0,
-    min_instances: int = 30,
-    direction: Direction = Direction.TWO_SIDED,
-) -> list[DriftEvent]:
-    """Run one detector over a raw value sequence (no class conditioning)."""
-    det = PageHinkley(delta, threshold, min_instances, direction)
-    out = []
-    for i, x in enumerate(values):
-        if det.update(x):
-            out.append(DriftEvent(index=i, class_context=ClassContext.UNCONDITIONED, feature=feature))
-    return out
-
-
 def detect_drifts_per_class(
     events: Sequence[TelemetryEvent],
     feature_index: int = OSNR_RX_INDEX,
@@ -232,17 +213,3 @@ def write_drift_csv(drift_events: Sequence[DriftEvent], path: str) -> None:
         writer.writerow(["index", "class_context", "feature"])
         for ev in drift_events:
             writer.writerow([ev.index, ev.class_context.value, FEATURE_NAMES[ev.feature]])
-
-
-def load_drift_csv(path: str) -> list[DriftEvent]:
-    out = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            out.append(
-                DriftEvent(
-                    index=int(row["index"]),
-                    class_context=ClassContext(row["class_context"]),
-                    feature=FEATURE_NAMES.index(row["feature"]),
-                )
-            )
-    return out

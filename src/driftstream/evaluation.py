@@ -32,14 +32,6 @@ SCORE_THRESHOLD = 0.5
 # -- windowed metrics --------------------------------------------------------
 
 
-def rolling_accuracy(buffer: Sequence[tuple[int, int, float]]) -> float:
-    """Fraction of (true, predicted, score) records with predicted == true."""
-    if len(buffer) == 0:
-        raise EmptyWindow()
-    correct = sum(1 for y, pred, _ in buffer if y == pred)
-    return correct / len(buffer)
-
-
 class _PairCounter:
     """Sorted scores per class and ``c2``, the doubled concordant-pair count.
 
@@ -155,7 +147,6 @@ class ExperimentReport:
     """Everything one prequential run produced, for export and audit."""
 
     window: int
-    event_indices: list[int]
     labels: list[int]
     arms: dict[str, ArmSeries]
     summary: dict = field(default_factory=dict)
@@ -186,7 +177,6 @@ def prequential_run(
     *,
     shuffle_seed: Union[int, np.random.SeedSequence, None] = None,
     epochs: int = 1,
-    metric_mode: str = "sliding",
 ) -> ExperimentReport:
     """Pretrain both arms on ``pretrain``, then stream ``stream``.
 
@@ -195,8 +185,6 @@ def prequential_run(
     static model is never updated after pretraining. Both arms see the
     identical event sequence. Model exceptions abort with the failing index.
     """
-    if metric_mode not in ("sliding", "block"):
-        raise ValueError("metric_mode must be 'sliding' or 'block'")
     if len(pretrain) > 0:
         order = np.random.default_rng(shuffle_seed).permutation(len(pretrain))
         _pretrain(static_model, pretrain, order, epochs)
@@ -208,7 +196,6 @@ def prequential_run(
         arms["online"].sfd_end_accuracy = _tail_accuracy(online_model, pretrain, window)
 
     metrics = {"static": RollingMetrics(window), "online": RollingMetrics(window)}
-    event_indices: list[int] = []
     labels: list[int] = []
 
     for i, event in enumerate(stream):
@@ -218,28 +205,18 @@ def prequential_run(
             s_static = static_model.score_one(x)
             s_online = online_model.score_one(x)
             online_model.learn_one(x, y)
-        except Exception as err:  # propagate with the failing stream position
-            raise PrequentialAbort(i, err) from err
-
-        labels.append(y)
-        emit = metric_mode == "sliding" or (i + 1) % window == 0
-        for name, score in (("static", s_static), ("online", s_online)):
-            arm = arms[name]
-            accuracy, auc, degenerate = metrics[name].update(y, score)
-            arm.scores.append(score)
-            if emit:
+            for name, score in (("static", s_static), ("online", s_online)):
+                accuracy, auc, degenerate = metrics[name].update(y, score)
+                arm = arms[name]
+                arm.scores.append(score)
                 arm.accuracy.append(accuracy)
                 arm.auc.append(auc)
                 arm.auc_degenerate.append(degenerate)
-        if emit:
-            event_indices.append(i)
+        except Exception as err:  # propagate with the failing stream position
+            raise PrequentialAbort(i, err) from err
+        labels.append(y)
 
-    report = ExperimentReport(
-        window=window,
-        event_indices=event_indices,
-        labels=labels,
-        arms=arms,
-    )
+    report = ExperimentReport(window=window, labels=labels, arms=arms)
     report.summary = _summarize(report)
     return report
 
@@ -275,16 +252,10 @@ METRIC_COLUMNS = ("event_index", "arm", "rolling_accuracy", "rolling_auc", "auc_
 
 
 def _metric_rows(report: ExperimentReport):
-    for pos, event_index in enumerate(report.event_indices):
+    for pos in range(len(report.labels)):
         for name in ("static", "online"):
             arm = report.arms[name]
-            yield (
-                event_index,
-                name,
-                arm.accuracy[pos],
-                arm.auc[pos],
-                int(arm.auc_degenerate[pos]),
-            )
+            yield (pos, name, arm.accuracy[pos], arm.auc[pos], int(arm.auc_degenerate[pos]))
 
 
 def export_report(report: ExperimentReport, path: str, fmt: str = "csv") -> str:

@@ -251,11 +251,8 @@ def random_oversample(
     if not failures:
         raise NoFailureSamples()
 
-    if (target_failure_ratio is None) == (target_failure_count is None):
-        raise InvalidConfig("set exactly one of target_failure_ratio / target_failure_count")
+    OversampleConfig(target_failure_ratio, target_failure_count).validate()
     if target_failure_ratio is not None:
-        if not (0.0 < target_failure_ratio <= 0.5):
-            raise InvalidConfig("target_failure_ratio must be in (0, 0.5]")
         r = target_failure_ratio
         need = (r * len(events) - len(failures)) / (1.0 - r)
         k = max(0, math.ceil(need - 1e-12))

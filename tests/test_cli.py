@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import statistics
 
 import pytest
 
@@ -180,15 +181,22 @@ def test_bench_rows_and_overhead(tmp_path):
     assert main(["bench", "--config", cfg, "--out", out, "--quiet"]) == 0
     rows = list(csv.DictReader(open(os.path.join(out, "latency.csv"))))
     assert [r["model"] for r in rows] == ["lr", "nb", "arf"]
+    raw = list(csv.DictReader(open(os.path.join(out, "latency_raw.csv"))))
+    assert len(raw) == 3 * 2 * 3 * 40  # models x modes x trials x events
+    # the table is the median of per-trial medians of the full-precision dump
+    ticks = {}
+    for r in raw:
+        ticks.setdefault((r["model"], r["mode"], r["trial"]), []).append(float(r["latency_ms"]))
     for r in rows:
-        online, static, overhead = (
-            float(r["online_ms"]),
-            float(r["static_ms"]),
-            float(r["overhead_ms"]),
-        )
-        assert overhead == pytest.approx(online - static, rel=1e-2, abs=1e-6)
-    raw = open(os.path.join(out, "latency_raw.csv")).read().strip().splitlines()
-    assert len(raw) - 1 == 3 * 2 * 3 * 40  # models x modes x trials x events
+        medians = {
+            mode: statistics.median(
+                statistics.median(t) for (m, md, _), t in ticks.items() if (m, md) == (r["model"], mode)
+            )
+            for mode in ("static", "online")
+        }
+        assert r["static_ms"] == format(medians["static"], ".4g")
+        assert r["online_ms"] == format(medians["online"], ".4g")
+        assert r["overhead_ms"] == format(medians["online"] - medians["static"], ".4g")
 
 
 def test_save_models_writes_loadable_snapshots(tmp_path):
@@ -213,3 +221,21 @@ def test_manifest_records_config_and_seed(tmp_path):
     assert manifest["seed"] == 5
     assert manifest["config"]["stream"]["synth"]["n_sfd"] == 1500
     assert "version" in manifest
+
+
+@pytest.mark.parametrize(
+    "config, code",
+    [
+        ({"stream": "x"}, 2),
+        ({"pht": 5}, 2),
+        ({"oversample": 3}, 2),
+        ({"stream": {"synth": 7}}, 2),
+        ({"validate": 1}, 2),
+        ({"stream": {"validate": 1}}, 2),
+        ({"oversample": None}, 0),
+    ],
+)
+def test_config_section_shape_exit_codes(tmp_path, config, code):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"stream": SMALL_SYNTH, **config}))
+    assert main(["drift", "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == code

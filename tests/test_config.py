@@ -99,11 +99,10 @@ def test_identically_seeded_models_start_identical():
 
 
 def test_models_satisfy_online_classifier_contract():
-    from driftstream.models import OnlineClassifier
+    from driftstream.models import HoeffdingTree, OnlineClassifier
 
     cfg = ExperimentConfig()
-    for name in ("lr", "nb", "arf", "ht"):
-        model = cfg.build_model(name)
+    for model in [cfg.build_model(name) for name in ("lr", "nb", "arf")] + [HoeffdingTree()]:
         assert isinstance(model, OnlineClassifier)
         assert model.score_one((1e-6, 32.0, 1e-4, 20.0)) == 0.5  # unfitted
 

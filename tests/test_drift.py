@@ -8,7 +8,6 @@ from driftstream.drift import (
     Direction,
     PageHinkley,
     correlation_rank,
-    detect_drifts,
     detect_drifts_per_class,
 )
 from driftstream.errors import DegenerateLabels, NonFiniteInput
@@ -180,12 +179,6 @@ def test_per_class_indices_refer_to_full_stream():
     drifts = detect_drifts_per_class(events)
     assert all(d.index >= 300 for d in drifts)
     assert all(a.index < b.index for a, b in zip(drifts, drifts[1:]))
-
-
-def test_unconditioned_detection():
-    values = [5.0] * 400 + [1.0] * 200
-    drifts = detect_drifts(values)
-    assert drifts and all(d.class_context is ClassContext.UNCONDITIONED for d in drifts)
 
 
 # -- correlation ranking ------------------------------------------------------------

@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftstream.errors import EmptyWindow, NonFiniteInput, PrequentialAbort
+from driftstream.errors import NonFiniteInput, PrequentialAbort
 from driftstream.evaluation import (
     RollingMetrics,
     export_report,
     latency_benchmark,
     load_metrics,
     prequential_run,
-    rolling_accuracy,
     rolling_auc,
     rolling_auc_flagged,
     write_latency_raw,
@@ -60,26 +59,6 @@ def trapezoid_auc(labels, scores):
 
 def buffer_of(labels, scores):
     return [(y, 1 if s >= 0.5 else 0, s) for y, s in zip(labels, scores)]
-
-
-def test_rolling_accuracy_examples():
-    window = [(1, 1, 0.9), (1, 0, 0.2), (0, 0, 0.1), (0, 1, 0.8)]
-    assert rolling_accuracy(window) == 0.5
-    assert rolling_accuracy([(1, 1, 0.9)] * 500) == 1.0
-
-
-def test_rolling_accuracy_matches_recount():
-    rng = np.random.default_rng(0)
-    labels = rng.integers(0, 2, 500)
-    scores = rng.uniform(0, 1, 500)
-    window = buffer_of(labels, scores)
-    recount = sum(1 for y, p, _ in window if y == p) / 500
-    assert rolling_accuracy(window) == recount
-
-
-def test_rolling_accuracy_empty_window():
-    with pytest.raises(EmptyWindow):
-        rolling_accuracy([])
 
 
 def test_auc_perfect_ranking():
@@ -301,13 +280,16 @@ def test_model_error_aborts_with_index():
     assert exc.value.index == 7
 
 
-def test_block_mode_emits_once_per_window():
-    stream = label_stream([0, 1] * 150)
-    report = prequential_run(
-        OracleModel(), OracleModel(), [], stream, window=100, metric_mode="block"
-    )
-    assert report.event_indices == [99, 199, 299]
-    assert len(report.arms["online"].accuracy) == 3
+def test_non_finite_score_aborts_with_index():
+    class NanAtThree(CountingModel):
+        def score_one(self, x):
+            return math.nan if self.n == 3 else 0.5
+
+    stream = label_stream([1] * 10)
+    with pytest.raises(PrequentialAbort) as exc:
+        prequential_run(CountingModel(), NanAtThree(), [], stream, window=5)
+    assert exc.value.index == 3
+    assert isinstance(exc.value.__cause__, NonFiniteInput)
 
 
 def test_multi_epoch_pretraining_uses_every_pass():
