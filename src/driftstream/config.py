@@ -10,7 +10,8 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
-from typing import Optional
+from functools import cache
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -141,22 +142,49 @@ class ExperimentConfig:
         return asdict(self)
 
 
+def _has_type(value, tp) -> bool:
+    """Whether the JSON ``value`` fits the resolved field type ``tp``; an int fits a float."""
+    if get_origin(tp) is Union:
+        return any(_has_type(value, arg) for arg in get_args(tp))
+    if get_origin(tp) is list:
+        (item,) = get_args(tp)
+        return isinstance(value, list) and all(_has_type(v, item) for v in value)
+    if isinstance(value, bool):
+        return tp is bool
+    if tp is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, tp)
+
+
+@cache
+def _field_types(cls) -> dict:
+    """Field name -> resolved type of a config dataclass (annotations are strings here)."""
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
+
+
+def _type_name(tp) -> str:
+    return tp.__name__ if isinstance(tp, type) else str(tp).replace("typing.", "")
+
+
 def _apply_section(target, data, section: str) -> None:
     """Set ``data``'s keys on the dataclass ``target``, descending into nested sections."""
     if not isinstance(data, dict):
         raise ConfigError(section or "config", "must be a JSON object")
-    names = {f.name for f in fields(target)}
+    types = _field_types(type(target))
     for key, value in data.items():
         name = f"{section}.{key}" if section else key
-        if key not in names:
+        if key not in types:
             raise ConfigError(name, "unknown config key")
         if key == "oversample" and value is not None:
             target.oversample = OversampleConfig()
         current = getattr(target, key)
         if is_dataclass(current):
             _apply_section(current, value, name)
-        else:
+        elif _has_type(value, types[key]):
             setattr(target, key, value)
+        else:
+            raise ConfigError(name, f"must be of type {_type_name(types[key])}, got {value!r}")
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:

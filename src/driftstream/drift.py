@@ -63,6 +63,12 @@ class PageHinkley:
     alarm the detector fully resets (mean and sums cleared) and re-arms.
     """
 
+    # slots keep attribute access fast on deep copies too (the online arm's copied detectors)
+    __slots__ = (
+        "delta", "threshold", "min_instances", "direction", "_inc", "_dec",
+        "t", "mean", "m_inc", "min_inc", "m_dec", "max_dec",
+    )
+
     def __init__(
         self,
         delta: float = 0.005,
@@ -78,6 +84,8 @@ class PageHinkley:
         self.threshold = threshold
         self.min_instances = min_instances
         self.direction = Direction(direction)
+        self._inc = self.direction in (Direction.INCREASE, Direction.TWO_SIDED)
+        self._dec = self.direction in (Direction.DECREASE, Direction.TWO_SIDED)
         self.reset()
 
     def reset(self) -> None:
@@ -92,9 +100,9 @@ class PageHinkley:
     def statistic(self) -> float:
         """Current test statistic (largest active one-sided gap, >= 0)."""
         stat = 0.0
-        if self.direction in (Direction.INCREASE, Direction.TWO_SIDED):
+        if self._inc:
             stat = max(stat, self.m_inc - self.min_inc)
-        if self.direction in (Direction.DECREASE, Direction.TWO_SIDED):
+        if self._dec:
             stat = max(stat, self.max_dec - self.m_dec)
         return stat
 
@@ -106,14 +114,16 @@ class PageHinkley:
         self.mean += (x - self.mean) / self.t
 
         alarm = False
-        if self.direction in (Direction.INCREASE, Direction.TWO_SIDED):
+        if self._inc:
             self.m_inc += x - self.mean - self.delta
-            self.min_inc = min(self.min_inc, self.m_inc)
+            if self.m_inc < self.min_inc:
+                self.min_inc = self.m_inc
             if self.m_inc - self.min_inc > self.threshold:
                 alarm = True
-        if self.direction in (Direction.DECREASE, Direction.TWO_SIDED):
+        if self._dec:
             self.m_dec += x - self.mean + self.delta
-            self.max_dec = max(self.max_dec, self.m_dec)
+            if self.m_dec > self.max_dec:
+                self.max_dec = self.m_dec
             if self.max_dec - self.m_dec > self.threshold:
                 alarm = True
 

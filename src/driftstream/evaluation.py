@@ -1,10 +1,12 @@
 """Prequential (test-then-train) evaluation of static vs online models.
 
-Both arms are pretrained identically on the soft-failure segment; the
-hard-failure segment is then streamed event by event. The static arm only
-predicts; the online arm predicts first and learns from the revealed label
-afterwards, so every recorded online score is a pre-update score. Rolling
-accuracy and rolling AUC are tracked over a sliding window for both arms.
+Both arms start in the same state. The model is pretrained once on the
+soft-failure segment, and the online arm starts as a copy of that pretrained
+static arm; the hard-failure segment is then streamed event by event. The
+static arm only predicts; the online arm predicts first and learns from the
+revealed label afterwards, so every recorded online score is a pre-update
+score. Rolling accuracy and rolling AUC are tracked over a sliding window for
+both arms.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import EmptyWindow, NonFiniteInput, PrequentialAbort
+from .errors import EmptyWindow, InvalidConfig, NonFiniteInput, PrequentialAbort
 from .telemetry import TelemetryEvent, to_features
 
 DEFAULT_WINDOW = 500
@@ -178,22 +180,27 @@ def prequential_run(
     shuffle_seed: Union[int, np.random.SeedSequence, None] = None,
     epochs: int = 1,
 ) -> ExperimentReport:
-    """Pretrain both arms on ``pretrain``, then stream ``stream``.
+    """Pretrain the model once on ``pretrain``, then stream ``stream``.
+
+    Both arms must start in the same state (equal ``to_state()``), or
+    ``InvalidConfig`` is raised. Only ``static_model`` is pretrained; its
+    pretrained attributes are then deep-copied into ``online_model``, so the
+    caller's online object holds the same state without a second pass.
 
     Per stream event, in order: the static model scores, the online model
     scores, and only then the online model learns from the true label. The
     static model is never updated after pretraining. Both arms see the
     identical event sequence. Model exceptions abort with the failing index.
     """
+    if static_model.to_state() != online_model.to_state():
+        raise InvalidConfig("static and online arms must start in the same state")
+    arms = {"static": ArmSeries(), "online": ArmSeries()}
     if len(pretrain) > 0:
         order = np.random.default_rng(shuffle_seed).permutation(len(pretrain))
         _pretrain(static_model, pretrain, order, epochs)
-        _pretrain(online_model, pretrain, order, epochs)
-
-    arms = {"static": ArmSeries(), "online": ArmSeries()}
-    if len(pretrain) > 0:
-        arms["static"].sfd_end_accuracy = _tail_accuracy(static_model, pretrain, window)
-        arms["online"].sfd_end_accuracy = _tail_accuracy(online_model, pretrain, window)
+        sfd_end_accuracy = _tail_accuracy(static_model, pretrain, window)
+        arms["static"].sfd_end_accuracy = arms["online"].sfd_end_accuracy = sfd_end_accuracy
+    online_model.__dict__ = deepcopy(static_model.__dict__)
 
     metrics = {"static": RollingMetrics(window), "online": RollingMetrics(window)}
     labels: list[int] = []

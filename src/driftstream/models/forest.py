@@ -103,7 +103,7 @@ class AdaptiveRandomForest:
 
     def score_one(self, x: Sequence[float]) -> float:
         check_sample(x)
-        return sum(tree.score_one(x) for tree in self.trees) / self.n_trees
+        return sum(tree._route(x)[0].probability() for tree in self.trees) / self.n_trees
 
     def learn_one(self, x: Sequence[float], y: int) -> None:
         check_sample(x, y)

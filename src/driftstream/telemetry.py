@@ -73,6 +73,17 @@ def _parse_float(raw: Mapping[str, str], name: str) -> float:
     return value
 
 
+def _parse_integral(raw: Mapping[str, str], name: str) -> int:
+    try:
+        return int(str(raw[name]))  # exact, even past float precision
+    except ValueError:
+        pass
+    value = _parse_float(raw, name)
+    if not value.is_integer():
+        raise OutOfRange(name, value)
+    return int(value)
+
+
 def validate(
     raw: Mapping[str, str],
     *,
@@ -81,10 +92,10 @@ def validate(
 ) -> TelemetryEvent:
     """Validate a raw string record into a TelemetryEvent.
 
-    Enforces: BER in [0, 1], OSNR finite and > 0, label in {0, 1}. Numeric
-    parsing always uses the decimal point, independent of locale. Unknown
-    keys are preserved as metadata. ``timestamp`` defaults to ``index`` when
-    the record carries none.
+    Enforces: BER in [0, 1], OSNR finite and > 0, label exactly 0 or 1, and
+    a finite, integral timestamp. Numeric parsing always uses the decimal
+    point, independent of locale. Unknown keys are preserved as metadata.
+    ``timestamp`` defaults to ``index`` when the record carries none.
 
     Raises MissingField, UnparsableNumber or OutOfRange.
     """
@@ -104,18 +115,12 @@ def validate(
         if values[name] <= 0.0:
             raise OutOfRange(name, values[name])
 
-    try:
-        label_value = int(float(raw["label"]))
-    except (TypeError, ValueError):
-        raise UnparsableNumber("label", str(raw["label"])) from None
+    label_value = _parse_integral(raw, "label")
     if label_value not in (0, 1):
         raise OutOfRange("label", label_value)
 
     if "timestamp" in raw and str(raw["timestamp"]).strip() != "":
-        try:
-            timestamp = int(float(raw["timestamp"]))
-        except (TypeError, ValueError):
-            raise UnparsableNumber("timestamp", str(raw["timestamp"])) from None
+        timestamp = _parse_integral(raw, "timestamp")
     else:
         timestamp = index
 

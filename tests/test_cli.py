@@ -239,3 +239,41 @@ def test_config_section_shape_exit_codes(tmp_path, config, code):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"stream": SMALL_SYNTH, **config}))
     assert main(["drift", "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == code
+
+
+@pytest.mark.parametrize(
+    "config, field",
+    [
+        ({"window": "500"}, "window"),
+        ({"seed": 1.5}, "seed"),
+        ({"arf": {"n_trees": "3"}}, "arf.n_trees"),
+    ],
+)
+def test_config_leaf_of_wrong_type_exits_2_naming_the_field(tmp_path, capsys, config, field):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"stream": SMALL_SYNTH, **config}))
+    assert main(["drift", "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    assert f"config field '{field}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("column, value", [("label", "inf"), ("label", "0.9"), ("timestamp", "inf")])
+def test_file_mode_drift_rejects_bad_label_or_timestamp(tmp_path, capsys, column, value):
+    cfg = write_config(tmp_path)
+    gen_out = str(tmp_path / "gen")
+    assert main(["gen", "--config", cfg, "--out", gen_out, "--quiet"]) == 0
+    hfd_path = os.path.join(gen_out, "hfd.csv")
+    with open(hfd_path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    rows[3][column] = value
+    with open(hfd_path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    file_cfg = write_config(
+        tmp_path,
+        {"stream": {"mode": "file", "sfd_path": os.path.join(gen_out, "sfd.csv"), "hfd_path": hfd_path}},
+        name="cfg_file.json",
+    )
+    assert main(["drift", "--config", file_cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 4
+    err = capsys.readouterr().err
+    assert "malformed row 4" in err and column in err

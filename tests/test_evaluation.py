@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftstream.errors import NonFiniteInput, PrequentialAbort
+from driftstream.config import ExperimentConfig
+from driftstream.errors import InvalidConfig, NonFiniteInput, PrequentialAbort
 from driftstream.evaluation import (
     RollingMetrics,
+    _pretrain,
     export_report,
     latency_benchmark,
     load_metrics,
@@ -301,6 +303,47 @@ def test_multi_epoch_pretraining_uses_every_pass():
     prequential_run(two, CountingModel(), pretrain, stream, window=5, shuffle_seed=0, epochs=2)
     assert one.n == 100  # static arm: pretraining only
     assert two.n == 200
+
+
+@pytest.mark.parametrize("name", ["lr", "nb", "arf"])
+def test_online_arm_starts_as_a_copy_of_the_pretrained_static_arm(name):
+    cfg = ExperimentConfig()
+    labels = [0] * 150 + [1] * 50 + [0] * 100
+    pretrain = make_stream([30.0] * 150 + [24.0] * 50 + [29.0] * 100, labels)
+    static_model, online_model = cfg.build_model(name), cfg.build_model(name)
+    report = prequential_run(static_model, online_model, pretrain, [], window=50, shuffle_seed=3, epochs=2)
+    fresh = cfg.build_model(name)
+    _pretrain(fresh, pretrain, np.random.default_rng(3).permutation(len(pretrain)), 2)
+    expected = snapshot_json(fresh)
+    assert snapshot_json(static_model) == snapshot_json(online_model) == expected
+    assert report.arms["static"].sfd_end_accuracy == report.arms["online"].sfd_end_accuracy
+    # the arms share no mutable sub-object: online learning leaves the static arm as it was
+    for event in make_stream([18.0] * 200, [1, 0] * 100, segment=Segment.HFD, seed=1):
+        online_model.learn_one(to_features(event), int(event.label))
+    assert snapshot_json(online_model) != expected
+    assert snapshot_json(static_model) == expected
+
+
+@pytest.mark.parametrize(
+    "static_model, online_model",
+    [
+        (LogisticRegression(), LogisticRegression(learning_rate=0.1)),
+        (ExperimentConfig().build_model("arf"), ExperimentConfig(seed=8).build_model("arf")),
+        (CountingModel(), OracleModel()),
+    ],
+)
+def test_arms_with_different_starting_states_are_rejected(static_model, online_model):
+    stream = label_stream([0, 1] * 5)
+    with pytest.raises(InvalidConfig):
+        prequential_run(static_model, online_model, [], stream, window=5)
+
+
+def test_online_arm_that_already_learned_is_rejected():
+    pretrain = make_stream([30.0] * 20, [0, 1] * 10)
+    online_model = LogisticRegression()
+    online_model.learn_one(to_features(pretrain[0]), 0)
+    with pytest.raises(InvalidConfig):
+        prequential_run(LogisticRegression(), online_model, pretrain, [], window=5, shuffle_seed=0)
 
 
 # -- export ----------------------------------------------------------------------

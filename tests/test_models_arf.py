@@ -21,7 +21,10 @@ def test_score_is_average_of_member_probabilities():
         def __init__(self, p):
             self.p = p
 
-        def score_one(self, x):
+        def _route(self, x):
+            return self, None, ""
+
+        def probability(self):
             return self.p
 
     forest = AdaptiveRandomForest(n_trees=10, seed=0)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftstream.errors import MissingField, OutOfRange, UnparsableNumber
+from driftstream.errors import DriftStreamError, MissingField, OutOfRange, UnparsableNumber
 from driftstream.telemetry import (
     FEATURE_NAMES,
     OSNR_RX_INDEX,
@@ -75,6 +75,64 @@ def test_missing_field():
 def test_label_outside_binary_set_rejected():
     with pytest.raises(OutOfRange):
         validate(dict(GOOD, label="2"))
+
+
+@pytest.mark.parametrize("label", ["0.9", "1.7", "-0.3", "inf", "-inf", "nan", "1e400"])
+def test_label_must_be_exactly_zero_or_one(label):
+    with pytest.raises(OutOfRange) as exc:
+        validate(dict(GOOD, label=label))
+    assert exc.value.field == "label"
+
+
+@pytest.mark.parametrize("label, expected", [("0", Label.NORMAL), ("1.0", Label.FAILURE), ("1e0", Label.FAILURE)])
+def test_integral_label_spellings_accepted(label, expected):
+    assert validate(dict(GOOD, label=label)).label is expected
+
+
+@pytest.mark.parametrize("timestamp", ["7.5", "inf", "-inf", "nan", "1e400"])
+def test_timestamp_must_be_integral(timestamp):
+    with pytest.raises(OutOfRange) as exc:
+        validate(dict(GOOD, timestamp=timestamp))
+    assert exc.value.field == "timestamp"
+
+
+def test_unparsable_label_and_timestamp():
+    for name in ("label", "timestamp"):
+        with pytest.raises(UnparsableNumber) as exc:
+            validate(dict(GOOD, **{name: "x1"}))
+        assert exc.value.field == name
+
+
+def test_integral_timestamp_spellings_accepted_exactly():
+    assert validate(dict(GOOD, timestamp="12.0")).timestamp == 12
+    assert validate(dict(GOOD, timestamp="12345678901234567891")).timestamp == 12345678901234567891
+
+
+_NUMBERISH = st.one_of(
+    st.sampled_from(["0", "1", "1.0", "0.9", "1.7", "-0.3", "inf", "-inf", "nan", "1e400", "", " ", "x"]),
+    st.floats().map(repr),
+    st.integers(-(10**30), 10**30).map(str),
+    st.text(max_size=6),
+)
+
+
+_FEATURE = st.one_of(st.sampled_from(["0", "0.5", "1", "20.0"]), _NUMBERISH)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    record=st.fixed_dictionaries(
+        {**{name: _FEATURE for name in FEATURE_NAMES}, "label": _NUMBERISH, "timestamp": _NUMBERISH}
+    )
+)
+def test_any_string_record_validates_or_raises_a_typed_error(record):
+    try:
+        event = validate(record)
+    except DriftStreamError:
+        return
+    assert float(record["label"]) == int(event.label)
+    if record["timestamp"].strip():
+        assert float(record["timestamp"]) == event.timestamp
 
 
 def test_non_finite_rejected():
