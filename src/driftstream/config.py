@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from functools import cache
 from typing import Optional, Union, get_args, get_origin, get_type_hints
@@ -143,7 +144,11 @@ class ExperimentConfig:
 
 
 def _has_type(value, tp) -> bool:
-    """Whether the JSON ``value`` fits the resolved field type ``tp``; an int fits a float."""
+    """Whether the JSON ``value`` fits the resolved field type ``tp``.
+
+    An int fits a float if it converts to a finite one; JSON's ``NaN`` and
+    infinities fit no field.
+    """
     if get_origin(tp) is Union:
         return any(_has_type(value, arg) for arg in get_args(tp))
     if get_origin(tp) is list:
@@ -152,7 +157,10 @@ def _has_type(value, tp) -> bool:
     if isinstance(value, bool):
         return tp is bool
     if tp is float:
-        return isinstance(value, (int, float))
+        try:
+            return isinstance(value, (int, float)) and math.isfinite(value)
+        except OverflowError:  # an int past the float range
+            return False
     return isinstance(value, tp)
 
 

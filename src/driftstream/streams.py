@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -37,9 +37,7 @@ from .errors import (
     DriftStreamError,
     NoFailureSamples,
 )
-from .telemetry import Label, Segment, TelemetryEvent, serialize, validate
-
-CSV_COLUMNS = ("timestamp", "ber_tx", "osnr_tx", "ber_rx", "osnr_rx", "label", "segment")
+from .telemetry import CSV_COLUMNS, LABELS, Label, Segment, TelemetryEvent, serialize_row, validate
 
 SeedLike = Union[int, np.random.SeedSequence, np.random.Generator, None]
 
@@ -175,18 +173,28 @@ def load_csv(
     ``column_map`` renames source headers to the canonical column names
     (for example ``{"OSNR_SPO2": "osnr_rx"}``). Rows are validated through
     the telemetry layer; the first bad row raises MalformedRow with its
-    1-based data-row number. Timestamps must strictly increase.
+    1-based data-row number. Timestamps must strictly increase. Rows read
+    as with ``csv.DictReader``: blank lines are skipped and not counted, a
+    short row's missing cells are None, extra cells are dropped and a
+    repeated column keeps its last cell.
     """
     events: list[TelemetryEvent] = []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            return events
+        names = [column_map.get(key, key) for key in header] if column_map else header
+        n_names = len(names)
         prev_ts = None
-        for row_number, row in enumerate(reader, start=1):
-            record = {}
-            for key, value in row.items():
-                if key is None:
-                    continue
-                record[(column_map or {}).get(key, key)] = value
+        row_number = 0
+        for row in reader:
+            if not row:
+                continue
+            row_number += 1
+            record = dict(zip(names, row))
+            if len(row) < n_names:
+                record.update(dict.fromkeys(names[len(row):]))
             try:
                 event = validate(record, index=row_number - 1, segment=default_segment)
             except DriftStreamError as err:
@@ -206,9 +214,7 @@ def write_csv(events: Sequence[TelemetryEvent], path: str) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for event in events:
-            record = serialize(event)
-            writer.writerow([record[col] for col in CSV_COLUMNS])
+        writer.writerows(map(serialize_row, events))
 
 
 def merge_sfd_hfd(
@@ -217,16 +223,20 @@ def merge_sfd_hfd(
     """Concatenate the two segments into one stream.
 
     Output order is sfd followed by hfd; segment tags are preserved and
-    timestamps are re-indexed to a single 0-based ordinal. Inputs are not
-    mutated.
+    timestamps are re-indexed to a single 0-based ordinal. An event whose
+    timestamp already equals its merged position is shared with the input,
+    not copied (events are frozen); the others are re-timestamped copies.
+    Inputs are not mutated.
     """
     if len(sfd) == 0:
         raise EmptySegment("sfd")
     if len(hfd) == 0:
         raise EmptySegment("hfd")
-    merged = []
-    for i, event in enumerate(list(sfd) + list(hfd)):
-        merged.append(event.with_timestamp(i))
+    merged = list(sfd)
+    merged.extend(hfd)
+    for i, event in enumerate(merged):
+        if event.timestamp != i:
+            merged[i] = event.with_timestamp(i)
     return merged
 
 
@@ -266,9 +276,13 @@ def random_oversample(
     picks = rng.integers(0, len(failures), size=k)
     next_ts = events[-1].timestamp + 1
     out = events
-    for j, pick in enumerate(picks):
-        source = failures[int(pick)]
-        out.append(replace(source, timestamp=next_ts + j, segment=Segment.OVERSAMPLED))
+    for j, pick in enumerate(picks.tolist()):
+        src = failures[pick]
+        out.append(
+            TelemetryEvent(
+                next_ts + j, src.ber_tx, src.osnr_tx, src.ber_rx, src.osnr_rx, src.label, Segment.OVERSAMPLED, src.meta
+            )
+        )
     return out
 
 
@@ -355,17 +369,10 @@ def _build_events(
     ber_rx = _waterfall_ber(osnr_rx, cfg, rng)
     osnr_tx = np.maximum(cfg.osnr_tx_mean + cfg.osnr_tx_std * rng.standard_normal(n), 0.01)
     ber_tx = _waterfall_ber(osnr_tx, cfg, rng)
+    columns = zip(ber_tx.tolist(), osnr_tx.tolist(), ber_rx.tolist(), osnr_rx.tolist(), labels.tolist())
     return [
-        TelemetryEvent(
-            timestamp=i,
-            ber_tx=float(ber_tx[i]),
-            osnr_tx=float(osnr_tx[i]),
-            ber_rx=float(ber_rx[i]),
-            osnr_rx=float(osnr_rx[i]),
-            label=Label(int(labels[i])),
-            segment=segment,
-        )
-        for i in range(n)
+        TelemetryEvent(i, b_tx, o_tx, b_rx, o_rx, LABELS[label], segment)
+        for i, (b_tx, o_tx, b_rx, o_rx, label) in enumerate(columns)
     ]
 
 

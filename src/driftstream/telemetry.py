@@ -9,7 +9,7 @@ once, at the edge.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Optional
 
@@ -22,6 +22,9 @@ N_FEATURES = 4
 OSNR_RX_INDEX = 3
 
 FeatureVector = tuple[float, float, float, float]
+
+# Column order of a serialized event and of the CSV files streams write.
+CSV_COLUMNS = ("timestamp", "ber_tx", "osnr_tx", "ber_rx", "osnr_rx", "label", "segment")
 
 
 class Label(int, Enum):
@@ -36,12 +39,19 @@ class Segment(str, Enum):
     OVERSAMPLED = "Oversampled"
 
 
-@dataclass(frozen=True)
+# LABELS[v] is Label(v), without the cost of an enum call.
+LABELS = tuple(Label)
+_SEGMENTS = {segment.value: segment for segment in Segment}
+
+
+@dataclass(frozen=True, slots=True)
 class TelemetryEvent:
     """One validated telemetry sample.
 
     ``timestamp`` is a monotonic ordinal within a stream; any original
-    wall-clock string travels in ``meta`` untouched.
+    wall-clock string travels in ``meta`` untouched. Events are frozen and
+    slotted, so a stream can share one event object between lists, and a
+    copy costs one constructor call.
     """
 
     timestamp: int
@@ -54,16 +64,17 @@ class TelemetryEvent:
     meta: Optional[dict] = field(default=None, compare=False)
 
     def with_timestamp(self, timestamp: int) -> "TelemetryEvent":
-        return replace(self, timestamp=timestamp)
+        return TelemetryEvent(
+            timestamp, self.ber_tx, self.osnr_tx, self.ber_rx, self.osnr_rx, self.label, self.segment, self.meta
+        )
 
 
 REQUIRED_FIELDS = ("ber_tx", "osnr_tx", "ber_rx", "osnr_rx", "label")
-_BER_FIELDS = ("ber_tx", "ber_rx")
-_OSNR_FIELDS = ("osnr_tx", "osnr_rx")
+# Keys validate() reads; a record with any other key carries metadata.
+_KNOWN_KEYS = frozenset(REQUIRED_FIELDS + ("timestamp", "segment"))
 
 
-def _parse_float(raw: Mapping[str, str], name: str) -> float:
-    text = raw[name]
+def _parse_float(name: str, text) -> float:
     try:
         value = float(text)
     except (TypeError, ValueError):
@@ -73,12 +84,12 @@ def _parse_float(raw: Mapping[str, str], name: str) -> float:
     return value
 
 
-def _parse_integral(raw: Mapping[str, str], name: str) -> int:
+def _parse_integral(name: str, text) -> int:
     try:
-        return int(str(raw[name]))  # exact, even past float precision
+        return int(str(text))  # exact, even past float precision
     except ValueError:
         pass
-    value = _parse_float(raw, name)
+    value = _parse_float(name, text)
     if not value.is_integer():
         raise OutOfRange(name, value)
     return int(value)
@@ -97,55 +108,55 @@ def validate(
     point, independent of locale. Unknown keys are preserved as metadata.
     ``timestamp`` defaults to ``index`` when the record carries none.
 
-    Raises MissingField, UnparsableNumber or OutOfRange.
+    Raises MissingField, UnparsableNumber or OutOfRange. With several faults
+    the first in this order wins: a missing or blank required field, in
+    REQUIRED_FIELDS order; an unparsable or non-finite BER, then OSNR value;
+    a BER, then an OSNR value out of range; the label; the timestamp; the
+    segment.
     """
     for name in REQUIRED_FIELDS:
-        if name not in raw or raw[name] is None:
+        text = raw.get(name)
+        if text is None:
             raise MissingField(name)
-        if str(raw[name]).strip() == "":
-            raise UnparsableNumber(name, str(raw[name]))
+        if not str(text).strip():
+            raise UnparsableNumber(name, str(text))
 
-    values = {}
-    for name in _BER_FIELDS + _OSNR_FIELDS:
-        values[name] = _parse_float(raw, name)
-    for name in _BER_FIELDS:
-        if not 0.0 <= values[name] <= 1.0:
-            raise OutOfRange(name, values[name])
-    for name in _OSNR_FIELDS:
-        if values[name] <= 0.0:
-            raise OutOfRange(name, values[name])
+    ber_tx = _parse_float("ber_tx", raw["ber_tx"])
+    ber_rx = _parse_float("ber_rx", raw["ber_rx"])
+    osnr_tx = _parse_float("osnr_tx", raw["osnr_tx"])
+    osnr_rx = _parse_float("osnr_rx", raw["osnr_rx"])
+    if not 0.0 <= ber_tx <= 1.0:
+        raise OutOfRange("ber_tx", ber_tx)
+    if not 0.0 <= ber_rx <= 1.0:
+        raise OutOfRange("ber_rx", ber_rx)
+    if osnr_tx <= 0.0:
+        raise OutOfRange("osnr_tx", osnr_tx)
+    if osnr_rx <= 0.0:
+        raise OutOfRange("osnr_rx", osnr_rx)
 
-    label_value = _parse_integral(raw, "label")
+    label_value = _parse_integral("label", raw["label"])
     if label_value not in (0, 1):
         raise OutOfRange("label", label_value)
 
-    if "timestamp" in raw and str(raw["timestamp"]).strip() != "":
-        timestamp = _parse_integral(raw, "timestamp")
-    else:
-        timestamp = index
+    known = len(REQUIRED_FIELDS)  # all present by now; counts the known keys in raw
+    timestamp = index
+    if "timestamp" in raw:
+        known += 1
+        if str(raw["timestamp"]).strip() != "":
+            timestamp = _parse_integral("timestamp", raw["timestamp"])
 
     seg = segment
-    if "segment" in raw and str(raw["segment"]).strip() != "":
-        try:
-            seg = Segment(str(raw["segment"]))
-        except ValueError:
-            raise OutOfRange("segment", raw["segment"]) from None
+    if "segment" in raw:
+        known += 1
+        if str(raw["segment"]).strip() != "":
+            seg = _SEGMENTS.get(str(raw["segment"]))
+            if seg is None:
+                raise OutOfRange("segment", raw["segment"])
 
-    meta = {
-        k: v
-        for k, v in raw.items()
-        if k not in REQUIRED_FIELDS and k not in ("timestamp", "segment")
-    }
-    return TelemetryEvent(
-        timestamp=timestamp,
-        ber_tx=values["ber_tx"],
-        osnr_tx=values["osnr_tx"],
-        ber_rx=values["ber_rx"],
-        osnr_rx=values["osnr_rx"],
-        label=Label(label_value),
-        segment=seg,
-        meta=meta or None,
-    )
+    meta = None
+    if len(raw) > known:
+        meta = {k: v for k, v in raw.items() if k not in _KNOWN_KEYS}
+    return TelemetryEvent(timestamp, ber_tx, osnr_tx, ber_rx, osnr_rx, LABELS[label_value], seg, meta)
 
 
 def to_features(event: TelemetryEvent) -> FeatureVector:
@@ -156,19 +167,19 @@ def to_features(event: TelemetryEvent) -> FeatureVector:
     return (event.ber_tx, event.osnr_tx, event.ber_rx, event.osnr_rx)
 
 
-def serialize(event: TelemetryEvent) -> dict[str, str]:
-    """Render an event back to a string record with full float precision.
+def serialize_row(event: TelemetryEvent) -> tuple[str, ...]:
+    """Render an event as string cells in ``CSV_COLUMNS`` order.
 
-    ``repr`` of a float round-trips exactly, so validate(serialize(e))
-    reproduces every numeric field bit for bit.
+    ``repr`` of a float round-trips exactly, so validating the cells as a
+    record, ``dict(zip(CSV_COLUMNS, serialize_row(e)))``, reproduces every
+    field but ``meta`` bit for bit.
     """
-    record = {
-        "timestamp": str(event.timestamp),
-        "ber_tx": repr(event.ber_tx),
-        "osnr_tx": repr(event.osnr_tx),
-        "ber_rx": repr(event.ber_rx),
-        "osnr_rx": repr(event.osnr_rx),
-        "label": str(int(event.label)),
-        "segment": event.segment.value,
-    }
-    return record
+    return (
+        str(event.timestamp),
+        repr(event.ber_tx),
+        repr(event.osnr_tx),
+        repr(event.ber_rx),
+        repr(event.osnr_rx),
+        str(int(event.label)),
+        event.segment.value,
+    )

@@ -4,7 +4,7 @@ import pytest
 from driftstream.config import ExperimentConfig, named_seed
 from driftstream.evaluation import prequential_run
 from driftstream.streams import generate_synthetic_segments, merge_sfd_hfd
-from driftstream.telemetry import Label, Segment, TelemetryEvent
+from driftstream.telemetry import CSV_COLUMNS, Label, Segment, TelemetryEvent, serialize_row
 
 
 def make_event(
@@ -25,6 +25,11 @@ def make_event(
         label=Label(label),
         segment=segment,
     )
+
+
+def as_record(event):
+    """The string record of an event, as one CSV row reads back."""
+    return dict(zip(CSV_COLUMNS, serialize_row(event)))
 
 
 def make_stream(osnr_values, labels, segment=Segment.SFD, seed=0):

@@ -247,6 +247,12 @@ def test_config_section_shape_exit_codes(tmp_path, config, code):
         ({"window": "500"}, "window"),
         ({"seed": 1.5}, "seed"),
         ({"arf": {"n_trees": "3"}}, "arf.n_trees"),
+        ({"pht": {"delta": float("nan")}}, "pht.delta"),
+        ({"pht": {"threshold": float("inf")}}, "pht.threshold"),
+        ({"arf": {"lambda_bag": float("nan")}}, "arf.lambda_bag"),
+        ({"arf": {"lambda_bag": float("-inf")}}, "arf.lambda_bag"),
+        ({"oversample": {"target_failure_ratio": float("nan")}}, "oversample.target_failure_ratio"),
+        ({"lr": {"learning_rate": 10**400}}, "lr.learning_rate"),
     ],
 )
 def test_config_leaf_of_wrong_type_exits_2_naming_the_field(tmp_path, capsys, config, field):

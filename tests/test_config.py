@@ -1,10 +1,16 @@
+import functools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftstream.config import ExperimentConfig, config_from_dict, load_config, named_seed
 from driftstream.errors import ConfigError
+from driftstream.models.snapshot import restore_model, snapshot_json
+from driftstream.streams import SynthConfig, generate_synthetic
+from driftstream.telemetry import to_features
 
 
 def test_defaults_match_published_hyperparameters():
@@ -123,3 +129,33 @@ def test_config_built_forest_snapshot_round_trip():
         assert clone.score_one(x) == forest.score_one(x)
         clone.learn_one(x, int(x[1] > 0))
         forest.learn_one(x, int(x[1] > 0))
+
+
+_DRIFTING = [
+    (to_features(e), int(e.label))
+    for e in generate_synthetic(SynthConfig(n_sfd=1500, n_hfd=800, sfd_episodes=2, hfd_episodes=2), seed=3)
+]
+
+
+def _stream_through(model, events, scores):
+    for x, y in events:
+        scores.append(model.score_one(x))
+        model.learn_one(x, y)
+    return model
+
+
+@functools.cache
+def _uninterrupted(name):
+    scores = []
+    model = _stream_through(ExperimentConfig().build_model(name), _DRIFTING, scores)
+    return scores, snapshot_json(model)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(("lr", "nb", "arf")), st.integers(0, len(_DRIFTING)))
+def test_mid_stream_snapshot_restore_continues_like_the_uninterrupted_run(name, cut):
+    scores = []
+    model = _stream_through(ExperimentConfig().build_model(name), _DRIFTING[:cut], scores)
+    restored = restore_model(json.loads(snapshot_json(model)))
+    _stream_through(restored, _DRIFTING[cut:], scores)
+    assert (scores, snapshot_json(restored)) == _uninterrupted(name)

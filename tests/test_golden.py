@@ -2,7 +2,10 @@
 
 A change that moves any output byte of ``run --save-models``, ``drift`` or
 ``gen`` fails here. ``manifest.json`` is hashed with its ``out_dir`` removed,
-because that is the only field that depends on where the test runs.
+because that is the only field that depends on where the test runs. The
+file-mode case runs ``gen``, renames a column in the files it wrote and runs
+``drift`` over them with a ``column_map``; it works in the test's directory
+with relative paths, so the input paths in its manifest are fixed too.
 """
 
 import hashlib
@@ -70,3 +73,32 @@ def test_reports_match_golden_bytes(tmp_path, command):
         argv.append("--save-models")
     assert main(argv) == 0
     assert _digests(out) == GOLDEN[command]
+
+
+GOLDEN_FILE_DRIFT = {
+    "drift_events.csv": GOLDEN["drift"]["drift_events.csv"],  # file mode reproduces synth mode
+    "manifest.json": "40effdced64de322f60da3765a4360eddd01db534b90b9b87e1fbf049859a356",
+}
+
+
+def test_file_mode_drift_matches_golden_bytes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with open("gen.json", "w", encoding="utf-8") as fh:
+        json.dump(GOLDEN_CONFIG, fh)
+    assert main(["gen", "--config", "gen.json", "--out", "data", "--quiet"]) == 0
+    for name in ("sfd.csv", "hfd.csv"):
+        path = os.path.join("data", name)
+        with open(path, encoding="utf-8", newline="") as fh:
+            header, body = fh.read().split("\r\n", 1)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(header.replace("osnr_rx", "OSNR_SPO2") + "\r\n" + body)
+    file_stream = {
+        "mode": "file",
+        "sfd_path": "data/sfd.csv",
+        "hfd_path": "data/hfd.csv",
+        "column_map": {"OSNR_SPO2": "osnr_rx"},
+    }
+    with open("drift.json", "w", encoding="utf-8") as fh:
+        json.dump({**GOLDEN_CONFIG, "stream": file_stream}, fh)
+    assert main(["drift", "--config", "drift.json", "--out", "out", "--quiet"]) == 0
+    assert _digests("out") == GOLDEN_FILE_DRIFT

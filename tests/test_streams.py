@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,8 @@ from driftstream.errors import (
     MalformedRow,
     MissingField,
     NoFailureSamples,
+    OutOfRange,
+    UnparsableNumber,
 )
 from driftstream.streams import (
     SynthConfig,
@@ -19,9 +23,9 @@ from driftstream.streams import (
     random_oversample,
     write_csv,
 )
-from driftstream.telemetry import Label, Segment, serialize, to_features, validate
+from driftstream.telemetry import Label, Segment, TelemetryEvent, to_features, validate
 
-from conftest import make_event
+from conftest import as_record, make_event
 
 
 # -- csv ingestion -------------------------------------------------------------
@@ -88,6 +92,88 @@ def test_load_csv_column_mapping(tmp_path):
     )
     events = load_csv(str(path), column_map={"OSNR_SPO2": "osnr_rx"})
     assert events[0].osnr_rx == 25.0
+
+
+_HEADER = "timestamp,ber_tx,osnr_tx,ber_rx,osnr_rx,label"
+_ROW_A = "0,1e-9,32.0,1e-6,25.0,0"
+_ROW_B = "1,1e-9,32.0,2e-6,24.0,1"
+
+
+@pytest.mark.parametrize(
+    "text, column_map, expected",
+    [
+        # blank lines are skipped and not counted: the bad row is data row 3
+        (f"{_HEADER}\n{_ROW_A}\n\n\n{_ROW_B}\n\n2,1e-9,32.0,3e-6,23.0,x\n", None, (UnparsableNumber, 3)),
+        (f"{_HEADER}\n\n{_ROW_A}\n\n{_ROW_B}\n\n", None, [(0, 0, "SFD", 25.0, None), (1, 1, "SFD", 24.0, None)]),
+        # a whitespace-only line is a row, not a blank line
+        (f"{_HEADER}\n{_ROW_A}\n \n", None, (MissingField, 2)),
+        # a short row's missing trailing cells read as absent, not as blank
+        (f"{_HEADER},segment\n{_ROW_A},HFD\n{_ROW_B}\n", None, (OutOfRange, 2)),
+        ("ber_tx,osnr_tx,ber_rx,osnr_rx,label,timestamp\n1e-9,32.0,1e-6,25.0,0,4\n1e-9,32.0,2e-6,24.0,1\n", None,
+         (UnparsableNumber, 2)),
+        (f"{_HEADER},label\n{_ROW_A}\n", None, (MissingField, 1)),
+        # extra cells are dropped
+        (f"{_HEADER}\n{_ROW_A},zzz,yy\n{_ROW_B},\n", None, [(0, 0, "SFD", 25.0, None), (1, 1, "SFD", 24.0, None)]),
+        # a repeated column keeps its last cell
+        (f"{_HEADER},label\n{_ROW_A},1\n", None, [(0, 1, "SFD", 25.0, None)]),
+        (f"{_HEADER.replace('osnr_rx', 'OSNR_SPO2')}\n{_ROW_A}\n", {"OSNR_SPO2": "osnr_rx"},
+         [(0, 0, "SFD", 25.0, None)]),
+        (f"{_HEADER}\n{_ROW_A}\n", {"label": "osnr_rx"}, (MissingField, 1)),
+        (f"{_HEADER},site\n{_ROW_A},A\n", None, [(0, 0, "SFD", 25.0, {"site": "A"})]),
+        (f"{_HEADER}\r\n{_ROW_A}\r\n", None, [(0, 0, "SFD", 25.0, None)]),
+        ("", None, []),
+        (f"{_HEADER}\n", None, []),
+        (f"\n{_ROW_A}\n", None, (MissingField, 1)),
+    ],
+)
+def test_load_csv_edge_cases(tmp_path, text, column_map, expected):
+    path = tmp_path / "seg.csv"
+    path.write_bytes(text.encode("utf-8"))
+    if isinstance(expected, tuple):
+        cause, row = expected
+        with pytest.raises(MalformedRow) as exc:
+            load_csv(str(path), column_map=column_map)
+        assert type(exc.value.cause) is cause
+        assert exc.value.row == row
+    else:
+        events = load_csv(str(path), column_map=column_map)
+        got = [(e.timestamp, int(e.label), e.segment.value, e.osnr_rx, e.meta) for e in events]
+        assert got == expected
+
+
+def test_load_csv_short_row_errors_name_the_field(tmp_path):
+    path = tmp_path / "seg.csv"
+    path.write_text(f"{_HEADER},segment\n{_ROW_A},HFD\n{_ROW_B}\n")
+    with pytest.raises(MalformedRow) as exc:
+        load_csv(str(path))
+    assert exc.value.cause.field == "segment" and exc.value.cause.value is None
+    path.write_text("ber_tx,osnr_tx,ber_rx,osnr_rx,label,timestamp\n1e-9,32.0,2e-6,24.0,1\n")
+    with pytest.raises(MalformedRow) as exc:
+        load_csv(str(path))
+    assert exc.value.cause.field == "timestamp" and exc.value.cause.raw == "None"
+
+
+_GOOD_RECORD = {"timestamp": "0", "ber_tx": "1e-9", "osnr_tx": "32", "ber_rx": "1e-6", "osnr_rx": "25", "label": "0"}
+
+
+@pytest.mark.parametrize(
+    "faults, error, field",
+    [
+        ({"ber_tx": "abc", "osnr_rx": ""}, UnparsableNumber, "osnr_rx"),  # blank before unparsable
+        ({"osnr_rx": None, "ber_tx": ""}, UnparsableNumber, "ber_tx"),  # missing and blank in field order
+        ({"label": "", "ber_rx": "x"}, UnparsableNumber, "label"),
+        ({"ber_rx": "abc", "osnr_tx": "abc"}, UnparsableNumber, "ber_rx"),  # BER fields parse first
+        ({"ber_tx": "inf", "osnr_tx": "x"}, OutOfRange, "ber_tx"),
+        ({"osnr_tx": "-1", "ber_rx": "2"}, OutOfRange, "ber_rx"),  # BER ranges before OSNR ranges
+        ({"label": "2", "osnr_rx": "-1"}, OutOfRange, "osnr_rx"),
+        ({"label": "x", "timestamp": "y"}, UnparsableNumber, "label"),
+        ({"timestamp": "1.5", "segment": "Q"}, OutOfRange, "timestamp"),
+    ],
+)
+def test_validate_error_precedence_with_two_faults(faults, error, field):
+    with pytest.raises(error) as exc:
+        validate({**_GOOD_RECORD, **faults})
+    assert type(exc.value) is error and exc.value.field == field
 
 
 def test_missing_file_raises_oserror(tmp_path):
@@ -205,6 +291,69 @@ def test_oversample_timestamps_continue():
     assert stamps == list(range(len(out)))
 
 
+# -- event copies ----------------------------------------------------------------
+
+
+def _fields(event):
+    """Every field of an event, ``meta`` included, with floats compared by their bits."""
+    return tuple(
+        getattr(event, f.name).hex() if isinstance(getattr(event, f.name), float) else getattr(event, f.name)
+        for f in dataclasses.fields(event)
+    )
+
+
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_infinity=False)
+_events = st.lists(
+    st.builds(
+        TelemetryEvent,
+        timestamp=st.integers(0, 2**70),
+        ber_tx=st.floats(0.0, 1.0),
+        osnr_tx=_positive,
+        ber_rx=st.floats(0.0, 1.0),
+        osnr_rx=_positive,
+        label=st.sampled_from(Label),
+        segment=st.sampled_from(Segment),
+        meta=st.none() | st.dictionaries(st.text(max_size=3), st.text(max_size=3), min_size=1, max_size=2),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_events, _events, st.integers(0, 2**32 - 1), st.integers(-3, 2**70))
+def test_event_copies_equal_a_replace_reference(sfd, hfd, seed, timestamp):
+    merged = merge_sfd_hfd(sfd, hfd)
+    assert [_fields(e) for e in merged] == [
+        _fields(dataclasses.replace(e, timestamp=i)) for i, e in enumerate(sfd + hfd)
+    ]
+    assert _fields(sfd[0].with_timestamp(timestamp)) == _fields(dataclasses.replace(sfd[0], timestamp=timestamp))
+
+    events = [dataclasses.replace(e, label=Label.FAILURE) if i == 0 else e for i, e in enumerate(merged)]
+    out = random_oversample(events, target_failure_count=len(events) + 5, seed=seed)
+    failures = [e for e in events if e.label is Label.FAILURE]
+    picks = np.random.default_rng(seed).integers(0, len(failures), size=len(out) - len(events))
+    reference = events + [
+        dataclasses.replace(failures[int(p)], timestamp=len(events) + j, segment=Segment.OVERSAMPLED)
+        for j, p in enumerate(picks)
+    ]
+    assert [_fields(e) for e in out] == [_fields(e) for e in reference]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_events, st.integers(0, 2**32 - 1))
+def test_write_then_load_round_trips_bit_for_bit(tmp_path_factory, events, seed):
+    events = [dataclasses.replace(e, timestamp=i * 2**60, meta=None) for i, e in enumerate(events)]
+    events = random_oversample(
+        [dataclasses.replace(events[0], label=Label.FAILURE)] + events[1:], target_failure_count=len(events) + 3, seed=seed
+    )
+    path = str(tmp_path_factory.mktemp("round_trip") / "seg.csv")
+    write_csv(events, path)
+    back = load_csv(path)
+    assert [_fields(e) for e in back] == [_fields(e) for e in events]
+    assert sum(e.segment is Segment.OVERSAMPLED for e in back) >= 3
+
+
 # -- synthetic generator ----------------------------------------------------------
 
 
@@ -283,7 +432,7 @@ def test_ber_anticorrelated_with_osnr():
 def test_generated_events_are_valid():
     cfg = SynthConfig(**SMALL)
     for event in generate_synthetic(cfg, seed=3)[::97]:
-        validate(serialize(event))  # raises on any invariant breach
+        validate(as_record(event))  # raises on any invariant breach
 
 
 def test_invalid_configs_rejected():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -10,12 +11,11 @@ from driftstream.telemetry import (
     OSNR_RX_INDEX,
     Label,
     Segment,
-    serialize,
     to_features,
     validate,
 )
 
-from conftest import make_event
+from conftest import as_record, make_event
 
 GOOD = {
     "ber_rx": "0.5",
@@ -196,7 +196,7 @@ def test_serialize_validate_round_trip_full_precision(ber_tx, osnr_tx, ber_rx, o
     original = make_event(
         i=3, ber_tx=ber_tx, osnr_tx=osnr_tx, ber_rx=ber_rx, osnr_rx=osnr_rx, label=label
     )
-    back = validate(serialize(original))
+    back = validate(as_record(original))
     assert back.ber_tx == original.ber_tx
     assert back.osnr_tx == original.osnr_tx
     assert back.ber_rx == original.ber_rx
@@ -208,12 +208,20 @@ def test_serialize_validate_round_trip_full_precision(ber_tx, osnr_tx, ber_rx, o
 
 def test_segment_round_trip():
     event = make_event(segment=Segment.OVERSAMPLED)
-    assert validate(serialize(event)).segment is Segment.OVERSAMPLED
+    assert validate(as_record(event)).segment is Segment.OVERSAMPLED
 
 
 def test_to_features_has_no_side_effects():
     event = make_event()
-    before = serialize(event)
+    before = as_record(event)
     to_features(event)
-    assert serialize(event) == before
+    assert as_record(event) == before
     assert math.isfinite(sum(to_features(event)))
+
+
+def test_events_are_frozen():
+    event = make_event()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        event.timestamp = 5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        event.segment = Segment.HFD
