@@ -154,6 +154,9 @@ def _has_type(value, tp) -> bool:
     if get_origin(tp) is list:
         (item,) = get_args(tp)
         return isinstance(value, list) and all(_has_type(v, item) for v in value)
+    if get_origin(tp) is dict:
+        key, item = get_args(tp)
+        return isinstance(value, dict) and all(_has_type(k, key) and _has_type(v, item) for k, v in value.items())
     if isinstance(value, bool):
         return tp is bool
     if tp is float:

@@ -61,6 +61,7 @@ class PageHinkley:
 
     No alarm is permitted during the first ``min_instances`` samples. On
     alarm the detector fully resets (mean and sums cleared) and re-arms.
+    ``_step`` is ``update`` without its finiteness check (the forest's 0/1 error).
     """
 
     # slots keep attribute access fast on deep copies too (the online arm's copied detectors)
@@ -110,6 +111,10 @@ class PageHinkley:
         """Advance by one sample; True means drift (detector has reset)."""
         if not math.isfinite(x):
             raise NonFiniteInput("sample")
+        return self._step(x)
+
+    def _step(self, x: float) -> bool:
+        """Unchecked ``update``, for a caller whose x is finite by construction."""
         self.t += 1
         self.mean += (x - self.mean) / self.t
 

@@ -112,32 +112,35 @@ class AdaptiveRandomForest:
             weights = self._bag_rng.poisson(self.lambda_bag, size=self.n_trees).tolist()
         else:
             weights = [1] * self.n_trees
+        trees, backgrounds, warn, drift = self.trees, self._background, self._warn, self._drift
+        positive = y == 1
         for i, k in enumerate(weights):
-            tree = self.trees[i]
+            tree = trees[i]
             # one routing serves both the prequential error and the update
             routed = tree._route(x)
-            predicted = routed[0].probability() >= 0.5
-            error = 1.0 if predicted != (y == 1) else 0.0
+            c0, c1 = routed[0].counts  # the leaf's probability(), computed in place
+            error = 0.0 if ((c1 + 1.0) / (c0 + c1 + 2.0) >= 0.5) == positive else 1.0
 
             if k > 0:
                 tree._learn_routed(routed, x, y, k)
-                background = self._background[i]
+                background = backgrounds[i]
                 if background is not None:
                     background._learn_routed(background._route(x), x, y, k)
 
             if not self.drift_detection:
                 continue
-            if self._warn[i].update(error) and self._background[i] is None:
-                self._background[i] = self._new_tree(self._ss.spawn(1)[0])
+            # the 0/1 error is finite by construction: skip update()'s check
+            if warn[i]._step(error) and backgrounds[i] is None:
+                backgrounds[i] = self._new_tree(self._ss.spawn(1)[0])
                 self.n_warnings += 1
-            if self._drift[i].update(error):
-                replacement = self._background[i]
+            if drift[i]._step(error):
+                replacement = backgrounds[i]
                 if replacement is None:
                     replacement = self._new_tree(self._ss.spawn(1)[0])
-                self.trees[i] = replacement
-                self._background[i] = None
-                self._warn[i] = self._new_detector(self.warn_threshold)
-                self._drift[i] = self._new_detector(self.drift_threshold)
+                trees[i] = replacement
+                backgrounds[i] = None
+                warn[i] = self._new_detector(self.warn_threshold)
+                drift[i] = self._new_detector(self.drift_threshold)
                 self.n_replacements += 1
 
     # -- persistence ---------------------------------------------------------

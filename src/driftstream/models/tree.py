@@ -16,37 +16,30 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from ..stats import RunningStats, entropy2, gaussian_cdf
+from ..stats import entropy2
 from .base import check_sample
 
 SeedLike = Union[int, np.random.SeedSequence, np.random.Generator, None]
 
+_SQRT2 = math.sqrt(2.0)
+
 
 class _Leaf:
-    __slots__ = ("counts", "stats", "fmin", "fmax", "weight_since_attempt", "subset")
+    """Class counts, each class's Welford mean and m2 per feature, and feature ranges.
+
+    ``means[cls][j]`` and ``m2s[cls][j]`` have weight ``counts[cls]``, so no per-feature count is kept.
+    """
+
+    __slots__ = ("counts", "means", "m2s", "fmin", "fmax", "weight_since_attempt", "subset")
 
     def __init__(self, n_features: int, subset: Optional[tuple[int, ...]]):
         self.counts = [0.0, 0.0]
-        # stats[class][feature]
-        self.stats = [
-            [RunningStats() for _ in range(n_features)],
-            [RunningStats() for _ in range(n_features)],
-        ]
+        self.means = [[0.0] * n_features, [0.0] * n_features]
+        self.m2s = [[0.0] * n_features, [0.0] * n_features]
         self.fmin = [math.inf] * n_features
         self.fmax = [-math.inf] * n_features
         self.weight_since_attempt = 0.0
         self.subset = subset
-
-    def update(self, x: Sequence[float], y: int, weight: float) -> None:
-        self.counts[y] += weight
-        stats = self.stats[y]
-        for j, v in enumerate(x):
-            stats[j].update(v, weight)
-            if v < self.fmin[j]:
-                self.fmin[j] = v
-            if v > self.fmax[j]:
-                self.fmax[j] = v
-        self.weight_since_attempt += weight
 
     def probability(self) -> float:
         # Laplace-smoothed class-1 probability; 0.5 when untouched
@@ -108,7 +101,7 @@ class HoeffdingTree:
         parent = None
         side = ""
         node = self._root
-        while isinstance(node, _SplitNode):
+        while node.__class__ is _SplitNode:
             parent = node
             if x[node.feature] <= node.threshold:
                 node, side = node.left, "left"
@@ -130,7 +123,22 @@ class HoeffdingTree:
     def _learn_routed(self, routed, x: Sequence[float], y: int, weight: int) -> None:
         """Unchecked update of the leaf ``_route(x)`` returned, then a split attempt."""
         leaf, parent, side = routed
-        leaf.update(x, y, float(weight))
+        weight = float(weight)
+        counts = leaf.counts
+        n = counts[y] + weight
+        counts[y] = n
+        # one weighted Welford step per feature; the class count is its weight
+        r = weight / n
+        means, m2s, fmin, fmax = leaf.means[y], leaf.m2s[y], leaf.fmin, leaf.fmax
+        for j, v in enumerate(x):
+            delta = v - means[j]
+            mean = means[j] = means[j] + r * delta
+            m2s[j] += weight * delta * (v - mean)
+            if v < fmin[j]:
+                fmin[j] = v
+            if v > fmax[j]:
+                fmax[j] = v
+        leaf.weight_since_attempt += weight
         if leaf.weight_since_attempt >= self.grace_period:
             leaf.weight_since_attempt = 0.0
             self._attempt_split(leaf, parent, side)
@@ -138,32 +146,30 @@ class HoeffdingTree:
     # -- split machinery ---------------------------------------------------
 
     def _candidate_merits(self, leaf: _Leaf, feature: int) -> Optional[tuple[float, float]]:
-        """Best (gain, threshold) for one feature, or None if unusable."""
+        """Best (gain, threshold) for one feature, or None; both class counts must be > 0."""
         lo, hi = leaf.fmin[feature], leaf.fmax[feature]
         if not (hi > lo):
             return None
         c0, c1 = leaf.counts
         total = c0 + c1
         h_parent = entropy2(c0, c1)
+        # each class's Gaussian, with its std floored at 1e-6, scaled for erf
+        mean0, mean1 = leaf.means[0][feature], leaf.means[1][feature]
+        denom0 = math.sqrt(max(leaf.m2s[0][feature] / c0, 1e-12)) * _SQRT2
+        denom1 = math.sqrt(max(leaf.m2s[1][feature] / c1, 1e-12)) * _SQRT2
         best_gain = -1.0
         best_threshold = lo
         step = (hi - lo) / (self.n_split_candidates + 1)
         for k in range(1, self.n_split_candidates + 1):
             t = lo + step * k
-            left = [0.0, 0.0]
-            for cls in (0, 1):
-                n_cls = leaf.counts[cls]
-                if n_cls <= 0.0:
-                    continue
-                rs = leaf.stats[cls][feature]
-                std = math.sqrt(max(rs.variance, 1e-12))
-                left[cls] = n_cls * gaussian_cdf(t, rs.mean, std)
-            wl = left[0] + left[1]
+            left0 = c0 * (0.5 * (1.0 + math.erf((t - mean0) / denom0)))
+            left1 = c1 * (0.5 * (1.0 + math.erf((t - mean1) / denom1)))
+            wl = left0 + left1
             wr = total - wl
             if wl <= 0.0 or wr <= 0.0:
                 continue
-            h_children = (wl / total) * entropy2(left[0], left[1]) + (wr / total) * entropy2(
-                c0 - left[0], c1 - left[1]
+            h_children = (wl / total) * entropy2(left0, left1) + (wr / total) * entropy2(
+                c0 - left0, c1 - left1
             )
             gain = h_parent - h_children
             if gain > best_gain:
@@ -225,7 +231,10 @@ class HoeffdingTree:
             }
         return {
             "counts": list(node.counts),
-            "stats": [[rs.to_state() for rs in per_class] for per_class in node.stats],
+            "stats": [
+                [[n, mean, m2] for mean, m2 in zip(means, m2s)]
+                for n, means, m2s in zip(node.counts, node.means, node.m2s)
+            ],
             "fmin": [v if math.isfinite(v) else None for v in node.fmin],
             "fmax": [v if math.isfinite(v) else None for v in node.fmax],
             "weight_since_attempt": node.weight_since_attempt,
@@ -242,9 +251,12 @@ class HoeffdingTree:
             )
         leaf = _Leaf(self.n_features, tuple(state["subset"]) if state["subset"] else None)
         leaf.counts = [float(c) for c in state["counts"]]
-        leaf.stats = [
-            [RunningStats.from_state(s) for s in per_class] for per_class in state["stats"]
-        ]
+        leaf.means, leaf.m2s = [], []
+        for n, per_class in zip(leaf.counts, state["stats"]):
+            if any(float(s[0]) != n for s in per_class):
+                raise ValueError("leaf statistics disagree with the class counts")
+            leaf.means.append([float(s[1]) for s in per_class])
+            leaf.m2s.append([float(s[2]) for s in per_class])
         leaf.fmin = [math.inf if v is None else float(v) for v in state["fmin"]]
         leaf.fmax = [-math.inf if v is None else float(v) for v in state["fmax"]]
         leaf.weight_since_attempt = float(state["weight_since_attempt"])

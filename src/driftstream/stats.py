@@ -59,12 +59,6 @@ def sigmoid(z: float) -> float:
     return ez / (1.0 + ez)
 
 
-def gaussian_cdf(x: float, mean: float, std: float) -> float:
-    if std <= 0.0:
-        return 1.0 if mean <= x else 0.0
-    return 0.5 * (1.0 + math.erf((x - mean) / (std * math.sqrt(2.0))))
-
-
 def gaussian_logpdf(x: float, mean: float, var: float) -> float:
     return -0.5 * (math.log(2.0 * math.pi * var) + (x - mean) * (x - mean) / var)
 

@@ -149,7 +149,7 @@ class StreamConfig:
     mode: str = "synth"  # "synth" | "file"
     sfd_path: Optional[str] = None
     hfd_path: Optional[str] = None
-    column_map: dict = field(default_factory=dict)
+    column_map: dict[str, str] = field(default_factory=dict)
     synth: SynthConfig = field(default_factory=SynthConfig)
 
     def validate(self) -> None:

@@ -142,12 +142,16 @@ def validate(
     timestamp = index
     if "timestamp" in raw:
         known += 1
+        if raw["timestamp"] is None:  # a short CSV row
+            raise MissingField("timestamp")
         if str(raw["timestamp"]).strip() != "":
             timestamp = _parse_integral("timestamp", raw["timestamp"])
 
     seg = segment
     if "segment" in raw:
         known += 1
+        if raw["segment"] is None:
+            raise MissingField("segment")
         if str(raw["segment"]).strip() != "":
             seg = _SEGMENTS.get(str(raw["segment"]))
             if seg is None:

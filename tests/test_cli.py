@@ -253,6 +253,9 @@ def test_config_section_shape_exit_codes(tmp_path, config, code):
         ({"arf": {"lambda_bag": float("-inf")}}, "arf.lambda_bag"),
         ({"oversample": {"target_failure_ratio": float("nan")}}, "oversample.target_failure_ratio"),
         ({"lr": {"learning_rate": 10**400}}, "lr.learning_rate"),
+        ({"stream": {"column_map": {"OSNR_SPO2": ["osnr_rx"]}}}, "stream.column_map"),
+        ({"stream": {"column_map": {"OSNR_SPO2": None}}}, "stream.column_map"),
+        ({"stream": {"column_map": {"OSNR_SPO2": 3}}}, "stream.column_map"),
     ],
 )
 def test_config_leaf_of_wrong_type_exits_2_naming_the_field(tmp_path, capsys, config, field):

@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from driftstream.models import HoeffdingTree
+from driftstream.models import AdaptiveRandomForest, HoeffdingTree
 from driftstream.models.snapshot import restore_model, snapshot_dict, snapshot_json
+from driftstream.stats import RunningStats, entropy2
 
 
 def test_unfitted_scores_half():
@@ -128,3 +133,103 @@ def test_snapshot_round_trip_mid_growth():
         clone.learn_one(x, y)
         tree.learn_one(x, y)
     assert snapshot_json(clone) == snapshot_json(tree)
+
+
+# samples (x, y, weight); the few fixed values let ranges collapse, or span less than the 1e-6 std floor
+_values = st.one_of(st.floats(-1e6, 1e6, allow_nan=False), st.sampled_from([0.0, 1.0, 0.5, 0.5 + 1e-7, 0.5 + 4e-6]))
+_samples = st.lists(
+    st.tuples(st.tuples(_values, _values, _values), st.integers(0, 1), st.integers(1, 12)),
+    min_size=1,
+    max_size=80,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_samples)
+def test_leaf_statistics_equal_running_stats_bit_for_bit(samples):
+    tree = HoeffdingTree(n_features=3, grace_period=10**9)  # never attempts a split
+    reference = [[RunningStats() for _ in range(3)] for _ in range(2)]
+    fmin, fmax = [math.inf] * 3, [-math.inf] * 3
+    for x, y, weight in samples:
+        tree.learn_one(x, y, weight=weight)
+        for j, v in enumerate(x):
+            reference[y][j].update(v, float(weight))
+            fmin[j], fmax[j] = min(fmin[j], v), max(fmax[j], v)
+    leaf = tree.to_state()["root"]
+    assert leaf["stats"] == [[rs.to_state() for rs in per_class] for per_class in reference]
+    assert leaf["fmin"] == [v if math.isfinite(v) else None for v in fmin]
+    assert leaf["fmax"] == [v if math.isfinite(v) else None for v in fmax]
+
+
+def gaussian_cdf(x: float, mean: float, std: float) -> float:
+    if std <= 0.0:
+        return 1.0 if mean <= x else 0.0
+    return 0.5 * (1.0 + math.erf((x - mean) / (std * math.sqrt(2.0))))
+
+
+def test_gaussian_cdf_degenerate_std_is_step():
+    assert gaussian_cdf(1.0, mean=0.5, std=0.0) == 1.0
+    assert gaussian_cdf(0.0, mean=0.5, std=0.0) == 0.0
+
+
+def per_threshold_merits(leaf: dict, feature: int, n_candidates: int):
+    """Best (gain, threshold) from a leaf's state, each class's CDF rebuilt at every threshold."""
+    lo, hi = leaf["fmin"][feature], leaf["fmax"][feature]
+    if lo is None or not (hi > lo):
+        return None
+    c0, c1 = leaf["counts"]
+    total = c0 + c1
+    h_parent = entropy2(c0, c1)
+    best_gain, best_threshold = -1.0, lo
+    step = (hi - lo) / (n_candidates + 1)
+    for k in range(1, n_candidates + 1):
+        t = lo + step * k
+        left = [0.0, 0.0]
+        for cls in (0, 1):
+            n_cls = leaf["counts"][cls]
+            if n_cls <= 0.0:
+                continue
+            rs = RunningStats.from_state(leaf["stats"][cls][feature])
+            left[cls] = n_cls * gaussian_cdf(t, rs.mean, math.sqrt(max(rs.variance, 1e-12)))
+        wl = left[0] + left[1]
+        wr = total - wl
+        if wl <= 0.0 or wr <= 0.0:
+            continue
+        gain = h_parent - (
+            (wl / total) * entropy2(left[0], left[1]) + (wr / total) * entropy2(c0 - left[0], c1 - left[1])
+        )
+        if gain > best_gain:
+            best_gain, best_threshold = gain, t
+    return None if best_gain < 0.0 else (best_gain, best_threshold)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_samples, st.integers(1, 12))
+def test_candidate_merits_equal_the_per_threshold_formula(samples, n_candidates):
+    tree = HoeffdingTree(n_features=3, grace_period=10**9, n_split_candidates=n_candidates)
+    for x, y, weight in samples + [((0.5, 0.5, 0.5), 0, 1), ((0.5, 0.5, 0.5), 1, 1)]:  # both classes
+        tree.learn_one(x, y, weight=weight)
+    leaf = tree.to_state()["root"]
+    for feature in range(3):
+        expected = per_threshold_merits(leaf, feature, n_candidates)
+        assert tree._candidate_merits(tree._root, feature) == expected
+
+
+def _first_leaf(node: dict) -> dict:
+    while "split" in node:
+        node = node["left"]
+    return node
+
+
+def test_restore_rejects_leaf_stats_whose_weight_differs_from_the_class_count():
+    rng = np.random.default_rng(5)
+    forest = AdaptiveRandomForest(seed=1)
+    for _ in range(400):
+        x = tuple(rng.normal(0, 1, 4).tolist())
+        forest.learn_one(x, int(x[0] > 0))
+    data = snapshot_dict(forest)
+    restore_model(data)  # the untouched snapshot restores
+    leaf = _first_leaf(data["state"]["trees"][3]["root"])
+    leaf["stats"][1][2][0] += 1.0
+    with pytest.raises(ValueError, match="class counts"):
+        restore_model(data)

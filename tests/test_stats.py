@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftstream.stats import RunningStats, entropy2, gaussian_cdf, sigmoid
+from driftstream.stats import RunningStats, entropy2, sigmoid
 
 finite_floats = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
@@ -53,11 +53,6 @@ def test_sigmoid_endpoints_and_symmetry():
     assert sigmoid(800.0) == 1.0
     assert sigmoid(-800.0) == 0.0
     assert math.isclose(sigmoid(2.0) + sigmoid(-2.0), 1.0, rel_tol=1e-15)
-
-
-def test_gaussian_cdf_degenerate_std_is_step():
-    assert gaussian_cdf(1.0, mean=0.5, std=0.0) == 1.0
-    assert gaussian_cdf(0.0, mean=0.5, std=0.0) == 0.0
 
 
 def test_entropy_bounds():
