@@ -29,9 +29,8 @@ for name in ("lr", "nb", "arf"):
           f"{summary['arms']['static']['sfd_end_accuracy']:.3f}")
     print("rolling accuracy along the stream (static vs online):")
     for t in range(window - 1, len(stream), 500):
-        pos = t  # sliding mode records one point per event
-        print(f"  event {t:>5}: static {report.arms['static'].accuracy[pos]:.3f}   "
-              f"online {report.arms['online'].accuracy[pos]:.3f}")
+        print(f"  event {t:>5}: static {report.arms['static'].accuracy[t]:.3f}   "
+              f"online {report.arms['online'].accuracy[t]:.3f}")
     print(f"max online-minus-static gap: {summary['max_accuracy_gap_points']:.3f} "
           f"accuracy points")
     print(f"final rolling AUC: static {report.arms['static'].auc[-1]:.3f}, "

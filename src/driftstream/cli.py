@@ -12,12 +12,10 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .config import ExperimentConfig, load_config, named_seed
 from .drift import Direction, detect_drifts_per_class, write_drift_csv
-from .errors import ConfigError, DriftStreamError, InvalidConfig
+from .errors import ConfigError, DriftStreamError
 from .models import save_model
 from .evaluation import (
     _pretrain,
@@ -42,6 +40,21 @@ EXIT_IO = 3
 EXIT_RUNTIME = 4
 
 
+# flag -> add_argument keywords; every command takes the first four
+_FLAGS = {
+    "--config": {"help": "JSON config file (flags override individual keys)"},
+    "--seed": {"type": int, "help": "root RNG seed (unsigned 64-bit)"},
+    "--out": {"help": "output directory"},
+    "--quiet": {"action": "store_true", "help": "suppress the stdout summary"},
+    "--format": {"choices": ("csv", "json"), "help": "metric series format"},
+    "--models": {"help": "comma-separated subset of lr,nb,arf"},
+    "--window": {"type": int, "help": "rolling metric window size"},
+    "--save-models": {"action": "store_true", "help": "write versioned model snapshots next to the reports"},
+    "--trials": {"type": int, "help": "latency benchmark trials"},
+}
+_COMMON_FLAGS = ("--config", "--seed", "--out", "--quiet")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="driftstream",
@@ -50,43 +63,27 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"driftstream {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("run", "prequential static-vs-online experiment, one report per model"),
-        ("drift", "per-class drift localization on the configured stream"),
-        ("bench", "per-event latency benchmark, one table row per model"),
-        ("gen", "materialize the synthetic stream to CSV files"),
-    ):
+    for name, (_, help_text, extra_flags) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--config", help="JSON config file (flags override individual keys)")
-        cmd.add_argument("--seed", type=int, help="root RNG seed (unsigned 64-bit)")
-        cmd.add_argument("--out", help="output directory")
-        cmd.add_argument("--format", choices=("csv", "json"), help="metric series format")
-        cmd.add_argument("--models", help="comma-separated subset of lr,nb,arf")
-        cmd.add_argument("--window", type=int, help="rolling metric window size")
-        cmd.add_argument("--trials", type=int, help="latency benchmark trials")
-        cmd.add_argument("--quiet", action="store_true", help="suppress the stdout summary")
-        if name == "run":
-            cmd.add_argument(
-                "--save-models",
-                action="store_true",
-                help="write versioned model snapshots next to the reports",
-            )
+        for flag in _COMMON_FLAGS + extra_flags:
+            cmd.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
 def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
+    flags = vars(args)
     if args.seed is not None:
         cfg.seed = args.seed
     if args.out is not None:
         cfg.out_dir = args.out
-    if args.format is not None:
+    if flags.get("format") is not None:
         cfg.format = args.format
-    if args.models is not None:
+    if flags.get("models") is not None:
         cfg.models = [m.strip() for m in args.models.split(",") if m.strip()]
-    if args.window is not None:
+    if flags.get("window") is not None:
         cfg.window = args.window
-    if args.trials is not None:
+    if flags.get("trials") is not None:
         cfg.bench.trials = args.trials
     cfg.validate()
     return cfg
@@ -122,7 +119,8 @@ def _assemble(cfg: ExperimentConfig):
     """
     sfd, hfd = _load_segments(cfg)
     if len(hfd) == 0:
-        raise ConfigError("stream", "the streamed segment is empty (n_hfd=0?)")
+        field = "stream.synth.n_hfd" if cfg.stream.mode == "synth" else "stream.hfd_path"
+        raise ConfigError(field, "the streamed segment is empty")
     if cfg.oversample is not None:
         hfd = random_oversample(
             hfd,
@@ -146,9 +144,7 @@ def _detect_drifts(cfg: ExperimentConfig, merged):
     )
 
 
-def _emit_summary(cfg: ExperimentConfig, summary: dict, quiet: bool) -> None:
-    if quiet:
-        return
+def _emit_summary(cfg: ExperimentConfig, summary: dict) -> None:
     if cfg.format == "json":
         print(json.dumps(summary, sort_keys=True))
         return
@@ -169,7 +165,7 @@ def _emit_summary(cfg: ExperimentConfig, summary: dict, quiet: bool) -> None:
             )
 
 
-def cmd_run(cfg: ExperimentConfig, quiet: bool, save_models: bool = False) -> int:
+def cmd_run(cfg: ExperimentConfig, args: argparse.Namespace) -> None:
     pretrain, stream, merged, boundary = _assemble(cfg)
     drift_events = _detect_drifts(cfg, merged)
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -194,42 +190,38 @@ def cmd_run(cfg: ExperimentConfig, quiet: bool, save_models: bool = False) -> in
             epochs=cfg.epochs,
         )
         export_report(report, os.path.join(cfg.out_dir, f"{name}_metrics.{cfg.format}"), cfg.format)
-        if save_models:
+        if args.save_models:
             save_model(static_model, os.path.join(cfg.out_dir, f"{name}_static.model.json"))
             save_model(online_model, os.path.join(cfg.out_dir, f"{name}_online.model.json"))
         summary["models"][name] = {k: v for k, v in report.summary.items() if k != "window"}
     with open(os.path.join(cfg.out_dir, "summary.json"), "w", encoding="utf-8") as fh:
         json.dump(summary, fh, sort_keys=True, indent=2)
-    _write_manifest(cfg, "run")
-    _emit_summary(cfg, summary, quiet)
-    return EXIT_OK
+    if not args.quiet:
+        _emit_summary(cfg, summary)
 
 
-def cmd_drift(cfg: ExperimentConfig, quiet: bool) -> int:
+def cmd_drift(cfg: ExperimentConfig, args: argparse.Namespace) -> None:
     _, _, merged, boundary = _assemble(cfg)
     drift_events = _detect_drifts(cfg, merged)
     os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, "drift_events.csv")
     write_drift_csv(drift_events, path)
-    _write_manifest(cfg, "drift")
-    if not quiet:
+    if not args.quiet:
         payload = {
             "drift_events": len(drift_events),
             "drift_boundary_index": boundary,
             "path": path,
         }
         print(json.dumps(payload, sort_keys=True))
-    return EXIT_OK
 
 
-def cmd_bench(cfg: ExperimentConfig, quiet: bool) -> int:
+def cmd_bench(cfg: ExperimentConfig, args: argparse.Namespace) -> None:
     pretrain, stream, _, _ = _assemble(cfg)
     sample_stream = stream[: cfg.bench.events_per_trial]
-    order = np.random.default_rng(named_seed(cfg.seed, "pretrain-shuffle")).permutation(len(pretrain))
     models = {}
     for name in cfg.models:
         models[name] = cfg.build_model(name)
-        _pretrain(models[name], pretrain, order, 1)
+        _pretrain(models[name], pretrain, named_seed(cfg.seed, "pretrain-shuffle"), cfg.epochs)
     report = latency_benchmark(
         models,
         sample_stream,
@@ -239,13 +231,11 @@ def cmd_bench(cfg: ExperimentConfig, quiet: bool) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
     write_latency_table(report, os.path.join(cfg.out_dir, "latency.csv"))
     write_latency_raw(report, os.path.join(cfg.out_dir, "latency_raw.csv"))
-    _write_manifest(cfg, "bench")
-    if not quiet:
+    if not args.quiet:
         print(json.dumps({"trials": report.trials, "medians": report.medians}, sort_keys=True))
-    return EXIT_OK
 
 
-def cmd_gen(cfg: ExperimentConfig, quiet: bool) -> int:
+def cmd_gen(cfg: ExperimentConfig, args: argparse.Namespace) -> None:
     if cfg.stream.mode != "synth":
         raise ConfigError("stream.mode", "gen requires synth mode")
     sfd, hfd = _load_segments(cfg)
@@ -254,8 +244,7 @@ def cmd_gen(cfg: ExperimentConfig, quiet: bool) -> int:
     hfd_path = os.path.join(cfg.out_dir, "hfd.csv")
     write_csv(sfd, sfd_path)
     write_csv(hfd, hfd_path)
-    _write_manifest(cfg, "gen")
-    if not quiet:
+    if not args.quiet:
         payload = {
             "sfd_path": sfd_path,
             "sfd_events": len(sfd),
@@ -263,20 +252,26 @@ def cmd_gen(cfg: ExperimentConfig, quiet: bool) -> int:
             "hfd_events": len(hfd),
         }
         print(json.dumps(payload, sort_keys=True))
-    return EXIT_OK
 
 
-_COMMANDS = {"run": cmd_run, "drift": cmd_drift, "bench": cmd_bench, "gen": cmd_gen}
+# command -> (handler, help, flags beyond the common ones)
+_COMMANDS = {
+    "run": (cmd_run, "prequential static-vs-online experiment, one report per model",
+            ("--format", "--models", "--window", "--save-models")),
+    "drift": (cmd_drift, "per-class drift localization on the configured stream", ()),
+    "bench": (cmd_bench, "per-event latency benchmark, one table row per model", ("--models", "--trials")),
+    "gen": (cmd_gen, "materialize the synthetic stream to CSV files", ()),
+}
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _resolve_config(args)
-        if args.command == "run":
-            return cmd_run(cfg, args.quiet, save_models=args.save_models)
-        return _COMMANDS[args.command](cfg, args.quiet)
-    except (ConfigError, InvalidConfig) as err:
+        _COMMANDS[args.command][0](cfg, args)
+        _write_manifest(cfg, args.command)
+        return EXIT_OK
+    except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as err:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from functools import cache
 from typing import Optional, Union, get_args, get_origin, get_type_hints
@@ -17,13 +18,14 @@ from typing import Optional, Union, get_args, get_origin, get_type_hints
 import numpy as np
 
 from .drift import Direction
-from .errors import ConfigError, InvalidConfig
+from .errors import ConfigError, check_fields
 from .models import AdaptiveRandomForest, GaussianNB, LogisticRegression
 from .streams import OversampleConfig, StreamConfig
 from .telemetry import N_FEATURES, OSNR_RX_INDEX
 
 VALID_MODELS = ("lr", "nb", "arf")
 VALID_FORMATS = ("csv", "json")
+VALID_DIRECTIONS = tuple(d.value for d in Direction)
 
 
 def named_seed(root_seed: int, label: str) -> np.random.SeedSequence:
@@ -91,37 +93,36 @@ class ExperimentConfig:
     bench: BenchParams = field(default_factory=BenchParams)
 
     def validate(self) -> None:
-        if not self.models:
-            raise ConfigError("models", "select at least one model")
-        for name in self.models:
-            if name not in VALID_MODELS:
-                raise ConfigError("models", f"unknown model name {name!r}; valid: {VALID_MODELS}")
-        if self.window < 2:
-            raise ConfigError("window", "must be >= 2")
-        if self.epochs < 1:
-            raise ConfigError("epochs", "must be >= 1")
-        if self.format not in VALID_FORMATS:
-            raise ConfigError("format", f"must be one of {VALID_FORMATS}")
-        if self.seed < 0 or self.seed > 2**64 - 1:
-            raise ConfigError("seed", "must fit into an unsigned 64-bit integer")
-        if self.bench.trials < 1:
-            raise ConfigError("bench.trials", "must be >= 1")
-        if self.bench.events_per_trial < 1:
-            raise ConfigError("bench.events_per_trial", "must be >= 1")
-        if self.bench.warmup_trials < 0:
-            raise ConfigError("bench.warmup_trials", "must be >= 0")
-        if not 0 <= self.pht.feature_index < N_FEATURES:
-            raise ConfigError("pht.feature_index", f"must be in [0, {N_FEATURES})")
-        try:
-            Direction(self.pht.direction)
-        except ValueError:
-            raise ConfigError("pht.direction", f"unknown direction {self.pht.direction!r}") from None
-        try:
-            self.stream.validate()
-            if self.oversample is not None:
-                self.oversample.validate()
-        except InvalidConfig as err:
-            raise ConfigError("stream", str(err)) from err
+        """Raise ConfigError naming the dotted field of the first value that breaks a rule."""
+        pht, arf, bench = self.pht, self.arf, self.bench
+        check_fields("", [
+            ("models", bool(self.models), "select at least one model"),
+            *(("models", name in VALID_MODELS, f"unknown model name {name!r}; valid: {VALID_MODELS}")
+              for name in self.models),
+            ("window", 2 <= self.window <= sys.maxsize, "must be in [2, sys.maxsize]"),
+            ("epochs", self.epochs >= 1, "must be >= 1"),
+            ("format", self.format in VALID_FORMATS, f"must be one of {VALID_FORMATS}"),
+            ("seed", 0 <= self.seed <= 2**64 - 1, "must fit into an unsigned 64-bit integer"),
+            ("bench.trials", bench.trials >= 1, "must be >= 1"),
+            ("bench.events_per_trial", bench.events_per_trial >= 1, "must be >= 1"),
+            ("bench.warmup_trials", bench.warmup_trials >= 0, "must be >= 0"),
+            ("pht.feature_index", 0 <= pht.feature_index < N_FEATURES, f"must be in [0, {N_FEATURES})"),
+            ("pht.direction", pht.direction in VALID_DIRECTIONS, f"unknown direction {pht.direction!r}"),
+            ("pht.delta", pht.delta >= 0.0, "must be >= 0"),
+            ("pht.threshold", pht.threshold > 0.0, "must be > 0"),
+            ("nb.min_variance", self.nb.min_variance > 0.0, "must be > 0"),
+            ("arf.n_trees", arf.n_trees >= 1, "must be >= 1"),
+            ("arf.max_features", arf.max_features >= 1, "must be >= 1"),
+            # numpy's Poisson sampler rejects rates above about 9.2e18
+            ("arf.lambda_bag", 0.0 <= arf.lambda_bag <= 1e18, "must be in [0, 1e18]"),
+            ("arf.split_confidence", 0.0 < arf.split_confidence < 1.0, "must be in (0, 1)"),
+            ("arf.n_split_candidates", arf.n_split_candidates >= 1, "must be >= 1"),
+            ("arf.warn_threshold", arf.warn_threshold > 0.0, "must be > 0"),
+            ("arf.drift_threshold", arf.drift_threshold > 0.0, "must be > 0"),
+        ])
+        self.stream.validate()
+        if self.oversample is not None:
+            self.oversample.validate()
 
     def build_model(self, name: str):
         """Fresh, unfitted model with this config's hyperparameters.
@@ -146,7 +147,8 @@ class ExperimentConfig:
 def _has_type(value, tp) -> bool:
     """Whether the JSON ``value`` fits the resolved field type ``tp``.
 
-    An int fits a float if it converts to a finite one; JSON's ``NaN`` and
+    An int fits a float if its size is at most 2**53, so that it converts
+    exactly (a larger one would reach numpy as an object); JSON's ``NaN`` and
     infinities fit no field.
     """
     if get_origin(tp) is Union:
@@ -159,11 +161,10 @@ def _has_type(value, tp) -> bool:
         return isinstance(value, dict) and all(_has_type(k, key) and _has_type(v, item) for k, v in value.items())
     if isinstance(value, bool):
         return tp is bool
+    if tp is float and isinstance(value, int):
+        return abs(value) <= 2**53
     if tp is float:
-        try:
-            return isinstance(value, (int, float)) and math.isfinite(value)
-        except OverflowError:  # an int past the float range
-            return False
+        return isinstance(value, float) and math.isfinite(value)
     return isinstance(value, tp)
 
 

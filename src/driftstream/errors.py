@@ -47,12 +47,6 @@ class NoFailureSamples(DriftStreamError):
         super().__init__("cannot oversample: no failure samples present")
 
 
-class InvalidConfig(DriftStreamError):
-    def __init__(self, reason: str):
-        super().__init__(f"invalid configuration: {reason}")
-        self.reason = reason
-
-
 class NonFiniteInput(DriftStreamError):
     def __init__(self, what: str = "input"):
         super().__init__(f"non-finite {what}")
@@ -70,12 +64,23 @@ class EmptyWindow(DriftStreamError):
 
 
 class ConfigError(DriftStreamError):
-    """Experiment configuration error; names the offending field."""
+    """Experiment configuration error; names the offending dotted field."""
 
     def __init__(self, field: str, reason: str):
         super().__init__(f"config field '{field}': {reason}")
         self.field = field
         self.reason = reason
+
+
+def check_fields(section: str, rules) -> None:
+    """Raise ConfigError for the first ``(field, holds, rule)`` row that does not hold.
+
+    ``section`` prefixes each field name (``"stream.synth"`` gives
+    ``stream.synth.n_sfd``); an empty section leaves the names as they are.
+    """
+    for name, holds, rule in rules:
+        if not holds:
+            raise ConfigError(f"{section}.{name}" if section else name, rule)
 
 
 class PrequentialAbort(DriftStreamError):

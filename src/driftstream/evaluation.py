@@ -24,11 +24,13 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import EmptyWindow, InvalidConfig, NonFiniteInput, PrequentialAbort
+from .errors import EmptyWindow, NonFiniteInput, PrequentialAbort
 from .telemetry import TelemetryEvent, to_features
 
 DEFAULT_WINDOW = 500
 SCORE_THRESHOLD = 0.5
+
+SeedLike = Union[int, np.random.SeedSequence, None]
 
 
 # -- windowed metrics --------------------------------------------------------
@@ -154,7 +156,9 @@ class ExperimentReport:
     summary: dict = field(default_factory=dict)
 
 
-def _pretrain(model, events: Sequence[TelemetryEvent], order: np.ndarray, epochs: int) -> None:
+def _pretrain(model, events: Sequence[TelemetryEvent], shuffle_seed: SeedLike, epochs: int) -> None:
+    """``epochs`` passes over ``events`` in one order drawn from ``shuffle_seed``."""
+    order = np.random.default_rng(shuffle_seed).permutation(len(events))
     for _ in range(epochs):
         for idx in order:
             event = events[int(idx)]
@@ -177,13 +181,13 @@ def prequential_run(
     stream: Sequence[TelemetryEvent],
     window: int = DEFAULT_WINDOW,
     *,
-    shuffle_seed: Union[int, np.random.SeedSequence, None] = None,
+    shuffle_seed: SeedLike = None,
     epochs: int = 1,
 ) -> ExperimentReport:
     """Pretrain the model once on ``pretrain``, then stream ``stream``.
 
     Both arms must start in the same state (equal ``to_state()``), or
-    ``InvalidConfig`` is raised. Only ``static_model`` is pretrained; its
+    ``ValueError`` is raised. Only ``static_model`` is pretrained; its
     pretrained attributes are then deep-copied into ``online_model``, so the
     caller's online object holds the same state without a second pass.
 
@@ -193,11 +197,10 @@ def prequential_run(
     identical event sequence. Model exceptions abort with the failing index.
     """
     if static_model.to_state() != online_model.to_state():
-        raise InvalidConfig("static and online arms must start in the same state")
+        raise ValueError("static and online arms must start in the same state")
     arms = {"static": ArmSeries(), "online": ArmSeries()}
     if len(pretrain) > 0:
-        order = np.random.default_rng(shuffle_seed).permutation(len(pretrain))
-        _pretrain(static_model, pretrain, order, epochs)
+        _pretrain(static_model, pretrain, shuffle_seed, epochs)
         sfd_end_accuracy = _tail_accuracy(static_model, pretrain, window)
         arms["static"].sfd_end_accuracy = arms["online"].sfd_end_accuracy = sfd_end_accuracy
     online_model.__dict__ = deepcopy(static_model.__dict__)

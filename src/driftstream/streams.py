@@ -25,27 +25,23 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import (
-    EmptySegment,
-    InvalidConfig,
-    MalformedRow,
     DriftStreamError,
+    EmptySegment,
+    MalformedRow,
     NoFailureSamples,
+    OutOfRange,
+    check_fields,
 )
 from .telemetry import CSV_COLUMNS, LABELS, Label, Segment, TelemetryEvent, serialize_row, validate
 
 SeedLike = Union[int, np.random.SeedSequence, np.random.Generator, None]
-
-
-def _rng(seed: SeedLike) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 @dataclass
@@ -96,34 +92,32 @@ class SynthConfig:
         return extra + self.failure_burst_len
 
     def validate(self) -> None:
-        if self.n_sfd < 1:
-            raise InvalidConfig("n_sfd must be >= 1")
-        if self.n_hfd < 0:
-            raise InvalidConfig("n_hfd must be >= 0")
-        if not (self.osnr_hard_drop > self.osnr_soft_drop > 0.0):
-            raise InvalidConfig("need osnr_hard_drop > osnr_soft_drop > 0")
-        if self.failure_burst_len < 1:
-            raise InvalidConfig("failure_burst_len must be >= 1")
-        if self.sfd_episodes < 0 or self.hfd_episodes < 0:
-            raise InvalidConfig("episode counts must be >= 0")
-        if self.sfd_episodes > 0 and self.sfd_episodes * self.episode_len() > self.n_sfd:
-            raise InvalidConfig("soft-failure episodes do not fit into n_sfd")
-        if self.n_hfd > 0 and self.hfd_episodes * self.failure_burst_len > self.n_hfd:
-            raise InvalidConfig("hard-failure episodes do not fit into n_hfd")
-        if self.osnr_normal_mean - self.osnr_hard_drop <= 0.0:
-            raise InvalidConfig("hard-failure OSNR level must stay positive")
-        if self.osnr_normal_mean - self.osnr_soft_drop - self.prefix_overshoot_db <= 0.0:
-            raise InvalidConfig("prefix dip OSNR level must stay positive")
-        if self.osnr_normal_mean - self.hfd_baseline_shift <= 0.0:
-            raise InvalidConfig("shifted baseline OSNR level must stay positive")
-        for name in ("osnr_normal_std", "plateau_std", "hfd_baseline_std",
-                     "prefix_dwell_std", "osnr_tx_std", "ber_jitter_db"):
-            if getattr(self, name) < 0.0:
-                raise InvalidConfig(f"{name} must be >= 0")
-        if not (0.0 < self.ber_cap <= 1.0):
-            raise InvalidConfig("ber_cap must be in (0, 1]")
-        if self.waterfall_scale_db <= 0.0:
-            raise InvalidConfig("waterfall_scale_db must be > 0")
+        normal = self.osnr_normal_mean
+        check_fields("stream.synth", [
+            ("n_sfd", 1 <= self.n_sfd <= sys.maxsize, "must be in [1, sys.maxsize]"),
+            ("n_hfd", 0 <= self.n_hfd <= sys.maxsize, "must be in [0, sys.maxsize]"),
+            ("osnr_hard_drop", self.osnr_hard_drop > self.osnr_soft_drop > 0.0,
+             "need osnr_hard_drop > osnr_soft_drop > 0"),
+            ("failure_burst_len", self.failure_burst_len >= 1, "must be >= 1"),
+            ("prefix_ramp_len", self.prefix_ramp_len >= 0, "must be >= 0"),
+            ("prefix_dwell_len", self.prefix_dwell_len >= 0, "must be >= 0"),
+            ("sfd_episodes", self.sfd_episodes >= 0, "must be >= 0"),
+            ("hfd_episodes", self.hfd_episodes >= 0, "must be >= 0"),
+            ("sfd_episodes", self.sfd_episodes == 0 or self.sfd_episodes * self.episode_len() <= self.n_sfd,
+             "soft-failure episodes do not fit into n_sfd"),
+            ("hfd_episodes", self.n_hfd == 0 or self.hfd_episodes * self.failure_burst_len <= self.n_hfd,
+             "hard-failure episodes do not fit into n_hfd"),
+            ("osnr_hard_drop", normal - self.osnr_hard_drop > 0.0, "hard-failure OSNR level must stay positive"),
+            ("prefix_overshoot_db", normal - self.osnr_soft_drop - self.prefix_overshoot_db > 0.0,
+             "prefix dip OSNR level must stay positive"),
+            ("hfd_baseline_shift", normal - self.hfd_baseline_shift > 0.0,
+             "shifted baseline OSNR level must stay positive"),
+            *((name, getattr(self, name) >= 0.0, "must be >= 0") for name in (
+                "osnr_normal_std", "plateau_std", "hfd_baseline_std", "prefix_dwell_std", "osnr_tx_std", "ber_jitter_db",
+            )),
+            ("ber_cap", 0.0 < self.ber_cap <= 1.0, "must be in (0, 1]"),
+            ("waterfall_scale_db", self.waterfall_scale_db > 0.0, "must be > 0"),
+        ])
 
 
 @dataclass
@@ -134,12 +128,13 @@ class OversampleConfig:
     target_failure_count: Optional[int] = None
 
     def validate(self) -> None:
-        if (self.target_failure_ratio is None) == (self.target_failure_count is None):
-            raise InvalidConfig("set exactly one of target_failure_ratio / target_failure_count")
-        if self.target_failure_ratio is not None and not (0.0 < self.target_failure_ratio <= 0.5):
-            raise InvalidConfig("target_failure_ratio must be in (0, 0.5]")
-        if self.target_failure_count is not None and self.target_failure_count < 0:
-            raise InvalidConfig("target_failure_count must be >= 0")
+        ratio, count = self.target_failure_ratio, self.target_failure_count
+        check_fields("oversample", [
+            ("target_failure_ratio", (ratio is None) != (count is None),
+             "set exactly one of target_failure_ratio / target_failure_count"),
+            ("target_failure_ratio", ratio is None or 0.0 < ratio <= 0.5, "must be in (0, 0.5]"),
+            ("target_failure_count", count is None or 0 <= count <= sys.maxsize, "must be in [0, sys.maxsize]"),
+        ])
 
 
 @dataclass
@@ -153,13 +148,16 @@ class StreamConfig:
     synth: SynthConfig = field(default_factory=SynthConfig)
 
     def validate(self) -> None:
-        if self.mode == "file":
-            if not self.sfd_path or not self.hfd_path:
-                raise InvalidConfig("file mode needs both sfd_path and hfd_path")
-        elif self.mode == "synth":
+        if self.mode == "synth":
             self.synth.validate()
-        else:
-            raise InvalidConfig(f"unknown stream mode: {self.mode}")
+            return
+        check_fields("stream", [
+            ("mode", self.mode == "file", f"unknown stream mode: {self.mode}"),
+            ("sfd_path", bool(self.sfd_path), "file mode needs both sfd_path and hfd_path"),
+            ("hfd_path", bool(self.hfd_path), "file mode needs both sfd_path and hfd_path"),
+            ("sfd_path", "\0" not in (self.sfd_path or ""), "must not contain a NUL character"),
+            ("hfd_path", "\0" not in (self.hfd_path or ""), "must not contain a NUL character"),
+        ])
 
 
 def load_csv(
@@ -200,10 +198,7 @@ def load_csv(
             except DriftStreamError as err:
                 raise MalformedRow(row_number, err) from err
             if prev_ts is not None and event.timestamp <= prev_ts:
-                raise MalformedRow(
-                    row_number,
-                    InvalidConfig("timestamps must strictly increase within a stream"),
-                )
+                raise MalformedRow(row_number, OutOfRange("timestamp", event.timestamp))
             prev_ts = event.timestamp
             events.append(event)
     return events
@@ -272,7 +267,7 @@ def random_oversample(
     if k == 0:
         return events
 
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     picks = rng.integers(0, len(failures), size=k)
     next_ts = events[-1].timestamp + 1
     out = events
@@ -381,7 +376,7 @@ def generate_synthetic_segments(
 ) -> tuple[list[TelemetryEvent], list[TelemetryEvent]]:
     """Generate the two segments separately (timestamps local to each)."""
     cfg.validate()
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     osnr_sfd, labels_sfd = _sfd_levels(cfg, rng)
     sfd = _build_events(osnr_sfd, labels_sfd, Segment.SFD, cfg, rng)
     if cfg.n_hfd == 0:

@@ -2,10 +2,14 @@ import csv
 import json
 import os
 import statistics
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftstream.cli import main
+from driftstream.evaluation import latency_benchmark, prequential_run
 from driftstream.streams import load_csv
 
 SMALL_SYNTH = {
@@ -256,6 +260,31 @@ def test_config_section_shape_exit_codes(tmp_path, config, code):
         ({"stream": {"column_map": {"OSNR_SPO2": ["osnr_rx"]}}}, "stream.column_map"),
         ({"stream": {"column_map": {"OSNR_SPO2": None}}}, "stream.column_map"),
         ({"stream": {"column_map": {"OSNR_SPO2": 3}}}, "stream.column_map"),
+        # values in range for their type that used to end in a traceback
+        ({"arf": {"n_trees": 0}}, "arf.n_trees"),
+        ({"arf": {"n_trees": -1}}, "arf.n_trees"),
+        ({"arf": {"max_features": -3}}, "arf.max_features"),
+        ({"arf": {"lambda_bag": -1}}, "arf.lambda_bag"),
+        ({"arf": {"lambda_bag": 1e19}}, "arf.lambda_bag"),
+        ({"arf": {"split_confidence": 0}}, "arf.split_confidence"),
+        ({"arf": {"split_confidence": 2.0}}, "arf.split_confidence"),
+        ({"arf": {"n_split_candidates": -1}}, "arf.n_split_candidates"),
+        ({"arf": {"warn_threshold": 0}}, "arf.warn_threshold"),
+        ({"arf": {"drift_threshold": -1.0}}, "arf.drift_threshold"),
+        ({"pht": {"threshold": 0}}, "pht.threshold"),
+        ({"pht": {"delta": -0.1}}, "pht.delta"),
+        ({"nb": {"min_variance": 0}}, "nb.min_variance"),
+        ({"window": 10**30}, "window"),
+        ({"stream": {"synth": {"n_sfd": 10**30}}}, "stream.synth.n_sfd"),
+        ({"stream": {"synth": {"n_hfd": 10**30}}}, "stream.synth.n_hfd"),
+        ({"oversample": {"target_failure_count": 10**30}}, "oversample.target_failure_count"),
+        ({"stream": {"synth": {"prefix_ramp_len": -100}}}, "stream.synth.prefix_ramp_len"),
+        ({"stream": {"synth": {"hfd_baseline_std": 10**29}}}, "stream.synth.hfd_baseline_std"),
+        ({"stream": {"mode": "file", "sfd_path": "a\0b", "hfd_path": "b"}}, "stream.sfd_path"),
+        # a field of a nested section used to be reported as 'stream'
+        ({"oversample": {"target_failure_ratio": 0.9}}, "oversample.target_failure_ratio"),
+        ({"stream": {"synth": {"n_sfd": 0}}}, "stream.synth.n_sfd"),
+        ({"stream": {"mode": "tape"}}, "stream.mode"),
     ],
 )
 def test_config_leaf_of_wrong_type_exits_2_naming_the_field(tmp_path, capsys, config, field):
@@ -263,6 +292,66 @@ def test_config_leaf_of_wrong_type_exits_2_naming_the_field(tmp_path, capsys, co
     path.write_text(json.dumps({"stream": SMALL_SYNTH, **config}))
     assert main(["drift", "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == 2
     assert f"config field '{field}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["drift", "--format", "json"],
+        ["drift", "--models", "lr"],
+        ["drift", "--window", "5"],
+        ["drift", "--trials", "3"],
+        ["gen", "--format", "json"],
+        ["gen", "--models", "lr"],
+        ["gen", "--window", "5"],
+        ["gen", "--trials", "3"],
+        ["bench", "--format", "json"],
+        ["bench", "--window", "5"],
+        ["run", "--trials", "3"],
+    ],
+)
+def test_flag_the_command_does_not_read_is_a_usage_error(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "o")
+
+
+def test_drift_help_lists_only_the_common_flags(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["drift", "--help"])
+    assert exc.value.code == 0
+    flags = {word.strip("[],") for word in capsys.readouterr().out.split() if word.startswith(("--", "[--"))}
+    assert flags == {"--help", "--config", "--seed", "--out", "--quiet"}
+
+
+def test_bench_pretrains_like_run(tmp_path, monkeypatch):
+    from driftstream import cli
+    from driftstream.models.snapshot import snapshot_json
+
+    cfg = write_config(
+        tmp_path,
+        {"models": ["lr", "nb", "arf"], "epochs": 2, "bench": {"trials": 1, "events_per_trial": 5, "warmup_trials": 0}},
+    )
+    pretrained = {"run": {}, "bench": {}}
+
+    def record_static_arm(static_model, online_model, *args, **kwargs):
+        report = prequential_run(static_model, online_model, *args, **kwargs)
+        pretrained["run"][type(static_model).__name__] = snapshot_json(static_model)
+        return report
+
+    def record_timed_models(models, *args, **kwargs):
+        pretrained["bench"].update((type(m).__name__, snapshot_json(m)) for m in models.values())
+        return latency_benchmark(models, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "prequential_run", record_static_arm)
+    monkeypatch.setattr(cli, "latency_benchmark", record_timed_models)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "r"), "--quiet"]) == 0
+    assert main(["bench", "--config", cfg, "--out", str(tmp_path / "b"), "--quiet"]) == 0
+    assert set(pretrained["bench"]) == {"LogisticRegression", "GaussianNB", "AdaptiveRandomForest"}
+    for name, state in pretrained["bench"].items():
+        assert state == pretrained["run"][name], name
 
 
 @pytest.mark.parametrize("column, value", [("label", "inf"), ("label", "0.9"), ("timestamp", "inf")])
@@ -286,3 +375,109 @@ def test_file_mode_drift_rejects_bad_label_or_timestamp(tmp_path, capsys, column
     assert main(["drift", "--config", file_cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 4
     err = capsys.readouterr().err
     assert "malformed row 4" in err and column in err
+
+
+# -- any JSON object as a config file ----------------------------------------------
+
+# Size caps keep one example well under a second. A capped leaf is never dropped, a
+# section holding one is replaced only by a non-object, and an int drawn for a capped
+# leaf stays in [-3, cap]: the streams hold at most 300 + 150 events (and at most 300
+# failures after oversampling), pretraining runs at most 2 epochs, the forest has at
+# most 3 trees with at most 4 split candidates, and bench times at most 1 + 2 trials
+# of 20 events.
+SIZE_CAPS = {
+    ("stream", "synth", "n_sfd"): 300,
+    ("stream", "synth", "n_hfd"): 150,
+    ("oversample", "target_failure_count"): 300,
+    ("epochs",): 2,
+    ("arf", "n_trees"): 3,
+    ("arf", "n_split_candidates"): 4,
+    ("bench", "trials"): 2,
+    ("bench", "events_per_trial"): 20,
+    ("bench", "warmup_trials"): 1,
+}
+
+# a small valid config that sets every leaf, so that each one can be dropped or replaced
+SMALL_BASE = {
+    "seed": 7,
+    "models": ["lr", "nb", "arf"],
+    "window": 50,
+    "epochs": 1,
+    "out_dir": "out",
+    "format": "csv",
+    "stream": {
+        "mode": "synth",
+        "sfd_path": None,
+        "hfd_path": None,
+        "column_map": {},
+        "synth": {
+            "n_sfd": 300, "n_hfd": 150, "sfd_episodes": 1, "hfd_episodes": 1, "failure_burst_len": 40,
+            "warning_prefix": True, "prefix_ramp_len": 20, "prefix_dwell_len": 10,
+            "osnr_normal_mean": 30.0, "osnr_normal_std": 0.4, "osnr_soft_drop": 6.0, "osnr_hard_drop": 16.0,
+            "plateau_std": 0.15, "prefix_overshoot_db": 3.0, "prefix_dwell_std": 0.3, "hfd_baseline_shift": 13.0,
+            "hfd_baseline_std": 0.5, "ber_cap": 0.5, "waterfall_center_db": 13.0, "waterfall_scale_db": 0.5,
+            "ber_jitter_db": 0.2, "osnr_tx_mean": 32.0, "osnr_tx_std": 0.3,
+        },
+    },
+    "oversample": {"target_failure_ratio": None, "target_failure_count": 120},
+    "pht": {"delta": 0.005, "threshold": 50.0, "min_instances": 30, "direction": "two_sided", "feature_index": 3},
+    "lr": {"learning_rate": 0.01, "standardize": True},
+    "nb": {"min_variance": 1e-10},
+    "arf": {
+        "n_trees": 2, "max_features": 2, "lambda_bag": 6.0, "grace_period": 50, "split_confidence": 1e-7,
+        "tie_threshold": 0.05, "n_split_candidates": 4, "min_split_gain": 1e-3, "warn_threshold": 20.0,
+        "drift_threshold": 50.0,
+    },
+    "bench": {"trials": 1, "events_per_trial": 20, "warmup_trials": 0},
+}
+
+
+def _paths(section, prefix=()):
+    for key, value in section.items():
+        yield prefix + (key,)
+        if isinstance(value, dict) and key != "column_map":
+            yield from _paths(value, prefix + (key,))
+
+
+CONFIG_PATHS = list(_paths(SMALL_BASE))
+_WORDS = ["synth", "file", "csv", "json", "lr", "nb", "arf", "increase", "decrease", "two_sided", ""]
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.sampled_from(_WORDS) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(_WORDS) | st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+# numbers of every size, so that range checks, not only type checks, get exercised
+leaf_values = st.integers() | st.floats() | st.sampled_from([0, -1, 2.0, 10**30, 1e300, -1e300]) | json_values
+
+
+@st.composite
+def any_config(draw):
+    """SMALL_BASE with up to three leaves or sections dropped or replaced by any JSON value."""
+    config = json.loads(json.dumps(SMALL_BASE))
+    for path in draw(st.lists(st.sampled_from(CONFIG_PATHS), max_size=3)):
+        parent = config
+        for key in path[:-1]:
+            parent = parent.get(key) if isinstance(parent, dict) else None
+        if not isinstance(parent, dict):  # an earlier draw replaced the section
+            continue
+        if path in SIZE_CAPS:
+            value = draw(st.integers(-3, SIZE_CAPS[path]) | leaf_values.filter(lambda v: type(v) is not int))
+        elif any(cap[: len(path)] == path for cap in SIZE_CAPS):
+            value = draw(leaf_values.filter(lambda v: not isinstance(v, dict)))
+        else:
+            value = draw(st.just(None) | leaf_values)
+            if value is None and draw(st.booleans()):
+                parent.pop(path[-1], None)
+                continue
+        parent[path[-1]] = value
+    return config
+
+
+@settings(max_examples=150, deadline=None)
+@given(config=any_config(), command=st.sampled_from(["run", "drift", "bench", "gen"]))
+def test_any_json_config_object_exits_with_a_known_code(config, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        assert main([command, "--config", path, "--out", os.path.join(tmp, "o"), "--quiet"]) in (0, 2, 3, 4)

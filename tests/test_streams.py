@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftstream.errors import (
+    ConfigError,
     EmptySegment,
-    InvalidConfig,
     MalformedRow,
     MissingField,
     NoFailureSamples,
@@ -79,8 +79,10 @@ def test_load_csv_deterministic(tmp_path):
 def test_load_csv_rejects_non_increasing_timestamps(tmp_path):
     path = tmp_path / "seg.csv"
     _write_rows(path, ["5,1e-9,32.0,1e-6,25.0,0", "5,1e-9,32.0,2e-6,24.0,1"])
-    with pytest.raises(MalformedRow):
+    with pytest.raises(MalformedRow) as exc:
         load_csv(str(path))
+    assert exc.value.row == 2
+    assert isinstance(exc.value.cause, OutOfRange) and exc.value.cause.field == "timestamp"
 
 
 def test_load_csv_column_mapping(tmp_path):
@@ -280,7 +282,7 @@ def test_oversample_ratio_semantics():
 
 def test_oversample_rejects_bad_ratio():
     events = _small_population()
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(ConfigError, match="'oversample.target_failure_ratio'"):
         random_oversample(events, target_failure_ratio=0.9, seed=0)
 
 
@@ -436,11 +438,11 @@ def test_generated_events_are_valid():
 
 
 def test_invalid_configs_rejected():
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(ConfigError, match="'stream.synth.n_sfd'"):
         SynthConfig(n_sfd=0).validate()
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(ConfigError, match="'stream.synth.osnr_hard_drop'"):
         SynthConfig(osnr_soft_drop=10.0, osnr_hard_drop=5.0).validate()
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(ConfigError, match="'stream.synth.sfd_episodes'"):
         SynthConfig(n_sfd=100, sfd_episodes=5).validate()
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(ConfigError, match="'stream.synth.osnr_hard_drop'"):
         SynthConfig(osnr_hard_drop=40.0).validate()
