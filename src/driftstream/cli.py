@@ -280,6 +280,9 @@ def main(argv=None) -> int:
     except DriftStreamError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_RUNTIME
+    except MemoryError as err:  # a size the config allows but the host cannot hold
+        print(f"error: out of memory: {err}", file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

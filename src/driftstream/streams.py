@@ -205,11 +205,16 @@ def load_csv(
 
 
 def write_csv(events: Sequence[TelemetryEvent], path: str) -> None:
-    """Write events with full float precision (repr round-trips exactly)."""
+    """Write events with full float precision (repr round-trips exactly).
+
+    The bytes are those of ``csv.writer``'s default dialect. No cell ever
+    needs quoting (integers, float reprs and fixed label and segment
+    names), so each row is joined directly; the lines stream from a
+    generator, so no copy of the file is held in memory.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        writer.writerows(map(serialize_row, events))
+        fh.write(",".join(CSV_COLUMNS) + "\r\n")
+        fh.writelines(",".join(serialize_row(event)) + "\r\n" for event in events)
 
 
 def merge_sfd_hfd(
@@ -309,8 +314,8 @@ def _episode_starts(n: int, episodes: int, episode_len: int, *, centered_tail: b
 
 def _sfd_levels(cfg: SynthConfig, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     n = cfg.n_sfd
-    level = np.full(n, cfg.osnr_normal_mean)
-    std = np.full(n, cfg.osnr_normal_std)
+    level = np.full(n, cfg.osnr_normal_mean, dtype=float)
+    std = np.full(n, cfg.osnr_normal_std, dtype=float)
     labels = np.zeros(n, dtype=np.int64)
 
     soft_level = cfg.osnr_normal_mean - cfg.osnr_soft_drop
@@ -338,8 +343,8 @@ def _hfd_levels(cfg: SynthConfig, rng: np.random.Generator) -> tuple[np.ndarray,
     n = cfg.n_hfd
     baseline = cfg.osnr_normal_mean - cfg.hfd_baseline_shift
     hard_level = cfg.osnr_normal_mean - cfg.osnr_hard_drop
-    level = np.full(n, baseline)
-    std = np.full(n, cfg.hfd_baseline_std)
+    level = np.full(n, baseline, dtype=float)
+    std = np.full(n, cfg.hfd_baseline_std, dtype=float)
     labels = np.zeros(n, dtype=np.int64)
 
     for start in _episode_starts(n, cfg.hfd_episodes, cfg.failure_burst_len, centered_tail=True):

@@ -138,6 +138,15 @@ def test_gen_rejects_empty_sfd(tmp_path, capsys):
     assert main(["gen", "--config", cfg, "--out", str(tmp_path / "g")]) == 2
 
 
+def test_stream_too_large_to_allocate_exits_4_without_a_traceback(tmp_path, capsys):
+    # numpy refuses the 7 PiB array at once, so nothing is allocated
+    cfg = write_config(tmp_path, {"stream": {"synth": {"n_sfd": 10**15}}})
+    assert main(["gen", "--config", cfg, "--out", str(tmp_path / "g")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_gen_output_loads_cleanly(tmp_path):
     cfg = write_config(tmp_path)
     gen_out = str(tmp_path / "gen")

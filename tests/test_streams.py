@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 
 import numpy as np
@@ -23,7 +24,7 @@ from driftstream.streams import (
     random_oversample,
     write_csv,
 )
-from driftstream.telemetry import Label, Segment, TelemetryEvent, to_features, validate
+from driftstream.telemetry import CSV_COLUMNS, Label, Segment, TelemetryEvent, serialize_row, to_features, validate
 
 from conftest import as_record, make_event
 
@@ -356,6 +357,18 @@ def test_write_then_load_round_trips_bit_for_bit(tmp_path_factory, events, seed)
     assert sum(e.segment is Segment.OVERSAMPLED for e in back) >= 3
 
 
+@settings(max_examples=60, deadline=None)
+@given(_events | st.just([]))
+def test_write_csv_bytes_equal_a_csv_writer_reference(tmp_path_factory, events):
+    directory = tmp_path_factory.mktemp("writer")
+    write_csv(events, str(directory / "seg.csv"))
+    with open(directory / "reference.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_COLUMNS)
+        writer.writerows(map(serialize_row, events))
+    assert (directory / "seg.csv").read_bytes() == (directory / "reference.csv").read_bytes()
+
+
 # -- synthetic generator ----------------------------------------------------------
 
 
@@ -390,6 +403,21 @@ def test_no_hfd_segment_when_n_hfd_zero():
 def test_same_seed_bit_identical():
     cfg = SynthConfig(**SMALL)
     assert generate_synthetic(cfg, seed=7) == generate_synthetic(cfg, seed=7)
+
+
+@pytest.mark.parametrize(
+    "integers",
+    [
+        {"osnr_normal_mean": 30},
+        {"hfd_baseline_shift": 13},
+        {"osnr_normal_mean": 30, "hfd_baseline_shift": 13, "osnr_hard_drop": 15, "osnr_normal_std": 1},
+    ],
+)
+def test_integer_config_values_generate_the_same_events_as_floats(integers):
+    floats = {name: float(value) for name, value in integers.items()}
+    by_int = generate_synthetic(SynthConfig(**SMALL, **integers), seed=7)
+    by_float = generate_synthetic(SynthConfig(**SMALL, **floats), seed=7)
+    assert [_fields(e) for e in by_int] == [_fields(e) for e in by_float]
 
 
 def test_different_seeds_differ():

@@ -1,5 +1,9 @@
+import copy
 import dataclasses
+import inspect
 import math
+import pickle
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +15,7 @@ from driftstream.telemetry import (
     OSNR_RX_INDEX,
     Label,
     Segment,
+    TelemetryEvent,
     to_features,
     validate,
 )
@@ -132,7 +137,12 @@ def test_any_string_record_validates_or_raises_a_typed_error(record):
         return
     assert float(record["label"]) == int(event.label)
     if record["timestamp"].strip():
-        assert float(record["timestamp"]) == event.timestamp
+        # an integer spelling is parsed exactly, also past float precision
+        try:
+            expected = int(record["timestamp"])
+        except ValueError:
+            expected = float(record["timestamp"])
+        assert event.timestamp == expected
 
 
 def test_non_finite_rejected():
@@ -225,3 +235,96 @@ def test_events_are_frozen():
         event.timestamp = 5
     with pytest.raises(dataclasses.FrozenInstanceError):
         event.segment = Segment.HFD
+
+
+# -- the event contract ----------------------------------------------------------
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class _GeneratedEvent:
+    """TelemetryEvent's fields, with the __init__ that dataclass generates."""
+
+    timestamp: int
+    ber_tx: float
+    osnr_tx: float
+    ber_rx: float
+    osnr_rx: float
+    label: Label
+    segment: Segment = Segment.SFD
+    meta: Optional[dict] = dataclasses.field(default=None, compare=False)
+
+
+_FIELD_NAMES = [f.name for f in dataclasses.fields(TelemetryEvent)]
+_REQUIRED = (3, 1e-9, 32.0, 1e-6, 25.0, Label.FAILURE)
+_ALL = _REQUIRED + (Segment.HFD, {"site": "a"})
+
+
+def _values(event):
+    return [getattr(event, name) for name in _FIELD_NAMES]
+
+
+def test_event_fields_and_signature_match_the_generated_ones():
+    def shape(cls):
+        return [(f.name, f.default, f.init, f.repr, f.compare, f.hash) for f in dataclasses.fields(cls)]
+
+    assert shape(TelemetryEvent) == shape(_GeneratedEvent)
+    assert inspect.signature(TelemetryEvent, eval_str=True) == inspect.signature(_GeneratedEvent)
+
+
+def test_event_builds_positionally_and_by_keyword_with_the_same_defaults():
+    for args in (_REQUIRED, _ALL):
+        by_keyword = dict(zip(_FIELD_NAMES, args))
+        reference = _values(_GeneratedEvent(*args))
+        assert _values(TelemetryEvent(*args)) == reference
+        assert _values(TelemetryEvent(**by_keyword)) == reference
+        assert _values(TelemetryEvent(*args[:3], **dict(list(by_keyword.items())[3:]))) == reference
+    assert _values(TelemetryEvent(*_REQUIRED))[-2:] == [Segment.SFD, None]
+    bad_calls = [(_REQUIRED[:-1], {}), (_ALL + (None,), {}), (_REQUIRED, {"timestamp": 4}), (_REQUIRED, {"x": 1})]
+    for args, kwargs in bad_calls:
+        with pytest.raises(TypeError):
+            _GeneratedEvent(*args, **kwargs)
+        with pytest.raises(TypeError):
+            TelemetryEvent(*args, **kwargs)
+
+
+def test_every_event_field_is_frozen():
+    event = TelemetryEvent(*_ALL)
+    for name in _FIELD_NAMES:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(event, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(event, name)
+    assert _values(event) == list(_ALL)
+
+
+def test_event_replace_changes_only_the_named_fields():
+    event = TelemetryEvent(*_ALL)
+    changed = dataclasses.replace(event, timestamp=9, segment=Segment.OVERSAMPLED)
+    assert type(changed) is TelemetryEvent
+    assert _values(changed) == [9, *_ALL[1:6], Segment.OVERSAMPLED, _ALL[7]]
+    assert changed.meta is event.meta
+
+
+def test_event_equality_and_hash_ignore_meta():
+    with_meta, without = TelemetryEvent(*_ALL), TelemetryEvent(*_ALL[:-1])
+    assert with_meta == without and hash(with_meta) == hash(without)
+    other = TelemetryEvent(*_ALL[:4], 25.5, *_ALL[5:])
+    assert other != with_meta
+
+
+def test_event_pickle_and_deepcopy_round_trip():
+    event = TelemetryEvent(*_ALL)
+    copies = [pickle.loads(pickle.dumps(event, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    copies.append(copy.deepcopy(event))
+    for back in copies:
+        assert type(back) is TelemetryEvent
+        assert _values(back) == list(_ALL)
+        assert back.label is Label.FAILURE and back.segment is Segment.HFD
+    assert copy.copy(event) == event
+
+
+def test_event_repr_is_unchanged():
+    assert repr(TelemetryEvent(1, 0.1, 2.0, 0.2, 3.0, Label.NORMAL)) == (
+        "TelemetryEvent(timestamp=1, ber_tx=0.1, osnr_tx=2.0, ber_rx=0.2, osnr_rx=3.0, "
+        "label=<Label.NORMAL: 0>, segment=<Segment.SFD: 'SFD'>, meta=None)"
+    )
