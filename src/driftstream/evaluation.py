@@ -12,6 +12,7 @@ both arms.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import statistics
@@ -271,11 +272,13 @@ def _metric_rows(report: ExperimentReport):
 def export_report(report: ExperimentReport, path: str, fmt: str = "csv") -> str:
     """Write the windowed metric series; repeated exports are byte-identical."""
     if fmt == "csv":
+        # no cell can need quoting: an int, a fixed arm name, two float reprs and 0/1
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(METRIC_COLUMNS)
-            for row in _metric_rows(report):
-                writer.writerow([row[0], row[1], repr(row[2]), repr(row[3]), row[4]])
+            fh.write(",".join(METRIC_COLUMNS) + "\r\n")
+            fh.writelines(
+                f"{pos},{name},{accuracy!r},{auc!r},{degenerate}\r\n"
+                for pos, name, accuracy, auc, degenerate in _metric_rows(report)
+            )
     elif fmt == "json":
         series = [
             {
@@ -345,7 +348,9 @@ def latency_benchmark(
 
     Each model must already be pretrained; it is deep-copied per mode so the
     static copy stays frozen while the online copy keeps learning across
-    trials. Warm-up trials run first and are discarded.
+    trials. Each trial times the static copy, then the online copy, so a
+    change of host speed between trials reaches both modes alike. Warm-up
+    trials run first and are discarded.
     """
     if len(sample_stream) == 0:
         raise EmptyWindow()
@@ -355,13 +360,10 @@ def latency_benchmark(
     medians: dict[str, dict[str, float]] = {}
     raw_ms: dict[str, dict[str, list[list[float]]]] = {}
     for name, model in models.items():
-        raw_ms[name] = {"static": [], "online": []}
-        static_copy = deepcopy(model)
-        online_copy = deepcopy(model)
-        for mode, subject in (("static", static_copy), ("online", online_copy)):
-            online = mode == "online"
-            trial_medians = []
-            for trial in range(warmup_trials + trials):
+        raw = raw_ms[name] = {"static": [], "online": []}
+        arms = (("static", deepcopy(model), False), ("online", deepcopy(model), True))
+        for trial in range(warmup_trials + trials):
+            for mode, subject, online in arms:
                 ticks = []
                 for x, y in samples:
                     t0 = clock()
@@ -370,12 +372,12 @@ def latency_benchmark(
                         subject.learn_one(x, y)
                     t1 = clock()
                     ticks.append((t1 - t0) / 1e6)
-                if trial < warmup_trials:
-                    continue
-                raw_ms[name][mode].append(ticks)
-                trial_medians.append(statistics.median(ticks))
-            medians.setdefault(name, {})[f"{mode}_ms"] = statistics.median(trial_medians)
-        medians[name]["overhead_ms"] = medians[name]["online_ms"] - medians[name]["static_ms"]
+                if trial >= warmup_trials:
+                    raw[mode].append(ticks)
+        row = medians[name] = {
+            f"{mode}_ms": statistics.median([statistics.median(t) for t in raw[mode]]) for mode in raw
+        }
+        row["overhead_ms"] = row["online_ms"] - row["static_ms"]
     return LatencyReport(
         trials=trials,
         events_per_trial=len(samples),
@@ -403,10 +405,14 @@ def write_latency_table(report: LatencyReport, path: str) -> None:
 def write_latency_raw(report: LatencyReport, path: str) -> None:
     """Full-precision per-event dump: one row per timed event."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "mode", "trial", "event_index", "latency_ms"])
+        fh.write("model,mode,trial,event_index,latency_ms\r\n")
         for model, modes in report.raw_ms.items():
             for mode, trials in modes.items():
+                # a model name is any string: let csv quote the two text cells once
+                text = io.StringIO()
+                csv.writer(text).writerow([model, mode])
+                prefix = text.getvalue()[:-2]
                 for trial, ticks in enumerate(trials):
-                    for event_index, ms in enumerate(ticks):
-                        writer.writerow([model, mode, trial, event_index, repr(ms)])
+                    fh.writelines(
+                        f"{prefix},{trial},{event_index},{ms!r}\r\n" for event_index, ms in enumerate(ticks)
+                    )

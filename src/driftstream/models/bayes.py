@@ -5,48 +5,61 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from ..stats import RunningStats, gaussian_logpdf, sigmoid
+from ..stats import sigmoid, welford_from_state
 from .base import check_sample
+
+_TWO_PI = 2.0 * math.pi
 
 
 class GaussianNB:
     """Gaussian naive Bayes updated one sample at a time.
 
-    Per class and per feature a single-pass mean/variance accumulator is
-    maintained; its results equal batch mean and population variance over the
-    same samples. Stored variances may be zero (single sample); at scoring
-    time every variance is floored to ``min_variance``. Posteriors are
-    computed in the log domain.
+    Per class and per feature a single-pass (Welford) mean and m2 are
+    maintained; ``means[cls][j]`` and ``m2s[cls][j]`` have weight
+    ``counts[cls]``, and their results equal batch mean and population
+    variance over the same samples. Stored variances may be zero (single
+    sample); at scoring time every variance is floored to ``min_variance``.
+    Posteriors are computed in the log domain.
     """
 
     def __init__(self, n_features: int = 4, min_variance: float = 1e-10):
         self.n_features = n_features
         self.min_variance = min_variance
         self.counts = [0.0, 0.0]
-        self._stats = [
-            [RunningStats() for _ in range(n_features)],
-            [RunningStats() for _ in range(n_features)],
-        ]
+        self.means = [[0.0] * n_features, [0.0] * n_features]
+        self.m2s = [[0.0] * n_features, [0.0] * n_features]
 
     def learn_one(self, x: Sequence[float], y: int) -> None:
         check_sample(x, y)
-        self.counts[y] += 1.0
-        stats = self._stats[y]
+        counts = self.counts
+        n = counts[y] + 1.0
+        counts[y] = n
+        # one Welford step per feature; the class count is its weight
+        r = 1.0 / n
+        means, m2s = self.means[y], self.m2s[y]
         for j, v in enumerate(x):
-            stats[j].update(v)
+            delta = v - means[j]
+            mean = means[j] = means[j] + r * delta
+            m2s[j] += delta * (v - mean)
 
     def class_mean(self, y: int, feature: int) -> float:
-        return self._stats[y][feature].mean
+        return self.means[y][feature]
 
     def class_variance(self, y: int, feature: int) -> float:
-        return self._stats[y][feature].variance
+        n = self.counts[y]
+        if n <= 0.0:
+            return 0.0
+        # guard against tiny negative values from cancellation
+        return max(self.m2s[y][feature] / n, 0.0)
 
     def _log_joint(self, x: Sequence[float], y: int, log_prior: float) -> float:
         total = log_prior
-        for j, v in enumerate(x):
-            rs = self._stats[y][j]
-            var = max(rs.variance, self.min_variance)
-            total += gaussian_logpdf(v, rs.mean, var)
+        n = self.counts[y]
+        floor = self.min_variance
+        for v, mean, m2 in zip(x, self.means[y], self.m2s[y]):
+            var = max(max(m2 / n, 0.0), floor)
+            d = v - mean
+            total += -0.5 * (math.log(_TWO_PI * var) + d * d / var)
         return total
 
     def score_one(self, x: Sequence[float]) -> float:
@@ -69,14 +82,15 @@ class GaussianNB:
             "n_features": self.n_features,
             "min_variance": self.min_variance,
             "counts": list(self.counts),
-            "stats": [[rs.to_state() for rs in per_class] for per_class in self._stats],
+            "stats": [
+                [[n, mean, m2] for mean, m2 in zip(means, m2s)]
+                for n, means, m2s in zip(self.counts, self.means, self.m2s)
+            ],
         }
 
     @classmethod
     def from_state(cls, state: dict) -> "GaussianNB":
         model = cls(n_features=state["n_features"], min_variance=state["min_variance"])
         model.counts = [float(c) for c in state["counts"]]
-        model._stats = [
-            [RunningStats.from_state(s) for s in per_class] for per_class in state["stats"]
-        ]
+        model.means, model.m2s = welford_from_state(model.counts, state["stats"], "class counts")
         return model

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..drift import Direction, PageHinkley
 from .base import check_sample
-from .tree import HoeffdingTree, _rng_from_state, _rng_state
+from .tree import HoeffdingTree, _rng_from_state, _rng_state, _SplitNode
 
 SeedLike = Union[int, np.random.SeedSequence, None]
 
@@ -103,7 +103,14 @@ class AdaptiveRandomForest:
 
     def score_one(self, x: Sequence[float]) -> float:
         check_sample(x)
-        return sum(tree._route(x)[0].probability() for tree in self.trees) / self.n_trees
+        total = 0.0
+        for tree in self.trees:
+            node = tree._root
+            while node.__class__ is _SplitNode:
+                node = node.left if x[node.feature] <= node.threshold else node.right
+            c0, c1 = node.counts  # the leaf's probability(), computed in place
+            total += (c1 + 1.0) / (c0 + c1 + 2.0)
+        return total / self.n_trees
 
     def learn_one(self, x: Sequence[float], y: int) -> None:
         check_sample(x, y)

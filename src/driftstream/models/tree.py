@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from ..stats import entropy2
+from ..stats import entropy2, welford_from_state
 from .base import check_sample
 
 SeedLike = Union[int, np.random.SeedSequence, np.random.Generator, None]
@@ -28,6 +28,8 @@ class _Leaf:
     """Class counts, each class's Welford mean and m2 per feature, and feature ranges.
 
     ``means[cls][j]`` and ``m2s[cls][j]`` have weight ``counts[cls]``, so no per-feature count is kept.
+    A leaf with a feature ``subset`` observes only those features, the only ones it may split
+    on; the other entries keep their initial values.
     """
 
     __slots__ = ("counts", "means", "m2s", "fmin", "fmax", "weight_since_attempt", "subset")
@@ -127,10 +129,12 @@ class HoeffdingTree:
         counts = leaf.counts
         n = counts[y] + weight
         counts[y] = n
-        # one weighted Welford step per feature; the class count is its weight
+        # one weighted Welford step per observed feature; the class count is its weight
         r = weight / n
         means, m2s, fmin, fmax = leaf.means[y], leaf.m2s[y], leaf.fmin, leaf.fmax
-        for j, v in enumerate(x):
+        subset = leaf.subset
+        for j in range(len(x)) if subset is None else subset:
+            v = x[j]
             delta = v - means[j]
             mean = means[j] = means[j] + r * delta
             m2s[j] += weight * delta * (v - mean)
@@ -251,12 +255,7 @@ class HoeffdingTree:
             )
         leaf = _Leaf(self.n_features, tuple(state["subset"]) if state["subset"] else None)
         leaf.counts = [float(c) for c in state["counts"]]
-        leaf.means, leaf.m2s = [], []
-        for n, per_class in zip(leaf.counts, state["stats"]):
-            if any(float(s[0]) != n for s in per_class):
-                raise ValueError("leaf statistics disagree with the class counts")
-            leaf.means.append([float(s[1]) for s in per_class])
-            leaf.m2s.append([float(s[2]) for s in per_class])
+        leaf.means, leaf.m2s = welford_from_state(leaf.counts, state["stats"], "class counts")
         leaf.fmin = [math.inf if v is None else float(v) for v in state["fmin"]]
         leaf.fmax = [-math.inf if v is None else float(v) for v in state["fmax"]]
         leaf.weight_since_attempt = float(state["weight_since_attempt"])

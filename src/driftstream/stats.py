@@ -59,8 +59,18 @@ def sigmoid(z: float) -> float:
     return ez / (1.0 + ez)
 
 
-def gaussian_logpdf(x: float, mean: float, var: float) -> float:
-    return -0.5 * (math.log(2.0 * math.pi * var) + (x - mean) * (x - mean) / var)
+def welford_from_state(counts, stats, count_name: str) -> tuple[list[list[float]], list[list[float]]]:
+    """Flat means and m2s per count from ``RunningStats`` state triples.
+
+    Every triple in ``stats[i]`` must have ``counts[i]`` as its weight, else ``ValueError``.
+    """
+    means, m2s = [], []
+    for n, triples in zip(counts, stats):
+        if any(float(t[0]) != n for t in triples):
+            raise ValueError(f"statistics disagree with the {count_name}")
+        means.append([float(t[1]) for t in triples])
+        m2s.append([float(t[2]) for t in triples])
+    return means, m2s
 
 
 def entropy2(c0: float, c1: float) -> float:

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import statistics
@@ -10,6 +11,9 @@ from hypothesis import strategies as st
 from driftstream.config import ExperimentConfig
 from driftstream.errors import NonFiniteInput, PrequentialAbort
 from driftstream.evaluation import (
+    ArmSeries,
+    ExperimentReport,
+    LatencyReport,
     RollingMetrics,
     _pretrain,
     export_report,
@@ -391,6 +395,38 @@ def test_csv_and_json_agree_to_full_precision(tmp_path):
         assert a["auc_degenerate"] == int(b["auc_degenerate"])
 
 
+_floats = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@st.composite
+def _reports(draw):
+    n = draw(st.integers(0, 30))
+    arms = {}
+    for name in ("static", "online"):
+        arms[name] = ArmSeries(
+            accuracy=draw(st.lists(_floats, min_size=n, max_size=n)),
+            auc=draw(st.lists(_floats, min_size=n, max_size=n)),
+            auc_degenerate=draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+        )
+    return ExperimentReport(window=draw(st.integers(1, 50)), labels=[0] * n, arms=arms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_reports())
+def test_export_csv_bytes_equal_a_csv_writer_reference(tmp_path_factory, report):
+    directory = tmp_path_factory.mktemp("export")
+    path, reference = str(directory / "metrics.csv"), str(directory / "reference.csv")
+    export_report(report, path, "csv")
+    with open(reference, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["event_index", "arm", "rolling_accuracy", "rolling_auc", "auc_degenerate"])
+        for pos in range(len(report.labels)):
+            for name in ("static", "online"):
+                arm = report.arms[name]
+                writer.writerow([pos, name, repr(arm.accuracy[pos]), repr(arm.auc[pos]), int(arm.auc_degenerate[pos])])
+    assert open(path, "rb").read() == open(reference, "rb").read()
+
+
 def test_summary_reports_both_gap_definitions():
     report = small_report()
     assert "max_accuracy_gap_points" in report.summary
@@ -430,3 +466,54 @@ def test_latency_benchmark_does_not_mutate_input_model():
     before = snapshot_json(model)
     latency_benchmark({"lr": model}, stream, trials=2, warmup_trials=0)
     assert snapshot_json(model) == before
+
+
+@st.composite
+def _latency_reports(draw):
+    raw_ms = {}
+    for model in draw(st.lists(st.text(max_size=6), max_size=3, unique=True)):
+        raw_ms[model] = {
+            mode: draw(st.lists(st.lists(_floats, max_size=5), max_size=3)) for mode in ("static", "online")
+        }
+    return LatencyReport(trials=0, events_per_trial=0, medians={}, raw_ms=raw_ms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_latency_reports())
+def test_latency_raw_bytes_equal_a_csv_writer_reference(tmp_path_factory, report):
+    directory = tmp_path_factory.mktemp("raw")
+    path, reference = str(directory / "raw.csv"), str(directory / "reference.csv")
+    write_latency_raw(report, path)
+    with open(reference, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["model", "mode", "trial", "event_index", "latency_ms"])
+        for model, modes in report.raw_ms.items():
+            for mode, trials in modes.items():
+                for trial, ticks in enumerate(trials):
+                    for event_index, ms in enumerate(ticks):
+                        writer.writerow([model, mode, trial, event_index, repr(ms)])
+    assert open(path, "rb").read() == open(reference, "rb").read()
+
+
+class _Recorder:
+    """Scores 0.5 and logs (copy id, call) into a log shared by every deep copy."""
+
+    log: list = []
+
+    def score_one(self, x):
+        self.log.append((id(self), "score"))
+        return 0.5
+
+    def learn_one(self, x, y):
+        self.log.append((id(self), "learn"))
+
+
+def test_latency_trials_alternate_the_static_and_online_copies():
+    stream = make_stream([25.0] * 3, [0, 1, 0])
+    _Recorder.log = []
+    latency_benchmark({"stub": _Recorder()}, stream, trials=2, warmup_trials=1)
+    static_id, online_id = _Recorder.log[0][0], _Recorder.log[3][0]
+    assert static_id != online_id
+    static_trial = [(static_id, "score")] * 3
+    online_trial = [(online_id, "score"), (online_id, "learn")] * 3
+    assert _Recorder.log == (static_trial + online_trial) * 3

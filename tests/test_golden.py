@@ -26,8 +26,8 @@ GOLDEN_CONFIG = {
 GOLDEN = {
     "run": {
         "arf_metrics.csv": "ab4c2bd0a5688edf5759532883f76105f1e830563b4415cb5682d69ec5868a19",
-        "arf_online.model.json": "ce2e9312a23035645a02213a0edfec984693bb86657dcbacc2d3ab79bbda242c",
-        "arf_static.model.json": "f2febef6e47984088e1d631bd764706afb0cb6a30110130f6b7aaf3778b1983e",
+        "arf_online.model.json": "38f14310bba17c5494a0926ca4efab6e2a20b97bd89ce0a45b2ecb8fc525d591",
+        "arf_static.model.json": "143d80ecc06ba8288f3e9b110dcf214cdd2955b88753e03199225363a49f9032",
         "drift_events.csv": "313ac95d1da087f0e12d577cfeebd4ac2314ccab94dba8aa3daa7cc486171a98",
         "lr_metrics.csv": "c79e42fd7c10428380ffc1fa3ee6efdddeebaa44d5718f7e45c9f1bff453459c",
         "lr_online.model.json": "c273048e232436d715d72eb15b80710aa498fb28af28c1ca2e3157abe51f8c82",

@@ -1,9 +1,12 @@
 import hashlib
+import json
 
 import numpy as np
+import pytest
 
 from driftstream.models import AdaptiveRandomForest, HoeffdingTree
 from driftstream.models.snapshot import restore_model, snapshot_dict, snapshot_json
+from driftstream.models.tree import _Leaf, _SplitNode
 
 
 def random_stream(n, seed, concept=lambda x: x[0] > 0):
@@ -17,21 +20,19 @@ def test_unfitted_scores_half():
 
 
 def test_score_is_average_of_member_probabilities():
-    class Stub:
-        def __init__(self, p):
-            self.p = p
-
-        def _route(self, x):
-            return self, None, ""
-
-        def probability(self):
-            return self.p
-
-    forest = AdaptiveRandomForest(n_trees=10, seed=0)
-    forest.trees = [Stub(0.0)] * 5 + [Stub(1.0)] * 5
-    assert forest.score_one((0.0, 0.0, 0.0, 0.0)) == 0.5
-    forest.trees = [Stub(1.0)] * 10
-    assert forest.score_one((0.0, 0.0, 0.0, 0.0)) == 1.0
+    forest = AdaptiveRandomForest(n_trees=4, seed=0)
+    # one split root and three single leaves, each leaf with set class counts
+    forest.trees[0]._root = _SplitNode(0, 0.5, _Leaf(4, (0, 1)), _Leaf(4, (0, 1)))
+    leaves = [forest.trees[0]._root.left, forest.trees[0]._root.right] + [t._root for t in forest.trees[1:]]
+    for leaf, counts in zip(leaves, ([3.0, 1.0], [0.0, 8.0], [5.0, 5.0], [1.0, 0.0], [0.0, 2.0])):
+        leaf.counts = counts
+    left, right = (0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0)
+    member = [tree.score_one(left) for tree in forest.trees]
+    assert member == [2 / 6, 6 / 12, 1 / 3, 3 / 4]
+    assert forest.score_one(left) == pytest.approx(sum(member) / 4, rel=1e-15)
+    member = [tree.score_one(right) for tree in forest.trees]
+    assert member == [9 / 10, 6 / 12, 1 / 3, 3 / 4]
+    assert forest.score_one(right) == pytest.approx(sum(member) / 4, rel=1e-15)
 
 
 def test_seeded_forest_reproducible():
@@ -68,13 +69,13 @@ def test_label_flip_triggers_tree_replacement():
 
 
 def test_forest_state_after_label_flip_matches_golden_hash():
-    # taken before the forest learned in one routing pass per tree
+    # pins every snapshot byte, including the initial values in leaves' non-subset entries
     forest = AdaptiveRandomForest(seed=7)
     for i, (x, y) in enumerate(random_stream(4000, 5)):
         forest.learn_one(x, 1 - y if i >= 2000 else y)
     assert (forest.n_warnings, forest.n_replacements) == (7, 4)
     digest = hashlib.sha256(snapshot_json(forest).encode()).hexdigest()
-    assert digest == "09ee995f5fe47579f07e93b0db4514a20a3c40bf370744785a581fa9264aa616"
+    assert digest == "d21223f65aed91e522d7b54547d456b49f3fdfe11852711c4c821af06fd21545"
 
 
 def test_single_tree_reduction_equals_plain_tree():
@@ -136,3 +137,34 @@ def test_score_within_unit_interval():
         s = forest.score_one(x)
         assert 0.0 <= s <= 1.0
         forest.learn_one(x, y)
+
+
+def test_restored_forest_continues_bit_for_bit_from_either_leaf_layout():
+    forest = AdaptiveRandomForest(n_trees=4, seed=31)
+    stream = random_stream(3000, 12)
+    for i, (x, y) in enumerate(stream[:1500]):
+        forest.learn_one(x, 1 - y if i >= 1000 else y)
+    data = snapshot_dict(forest)
+    # snapshots written before leaves observed only their subset hold values in the other entries
+    old_layout = json.loads(json.dumps(data))
+    for tree in old_layout["state"]["trees"] + [t for t in old_layout["state"]["background"] if t]:
+        for leaf in _leaves(tree["root"]):
+            for j in set(range(4)) - set(leaf["subset"]):
+                leaf["fmin"][j], leaf["fmax"][j] = -0.75, 0.75
+                for per_class in leaf["stats"]:
+                    per_class[j][1:] = [0.25, 3.5]
+    clones = [restore_model(data), restore_model(old_layout)]
+    for i, (x, y) in enumerate(stream[1500:]):
+        y = 1 - y if i < 500 else y
+        expected = forest.score_one(x)
+        assert [clone.score_one(x) for clone in clones] == [expected, expected]
+        for model in (forest, *clones):
+            model.learn_one(x, y)
+    assert snapshot_json(clones[0]) == snapshot_json(forest)
+    assert (clones[1].n_warnings, clones[1].n_replacements) == (forest.n_warnings, forest.n_replacements)
+
+
+def _leaves(node):
+    if "split" in node:
+        return _leaves(node["left"]) + _leaves(node["right"])
+    return [node]

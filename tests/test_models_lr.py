@@ -3,10 +3,13 @@ from copy import deepcopy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftstream.errors import NonFiniteInput
 from driftstream.models import LogisticRegression
 from driftstream.models.snapshot import restore_model, snapshot_dict, snapshot_json
+from driftstream.stats import RunningStats
 
 
 def raw_model(weights=None, bias=0.0):
@@ -143,3 +146,31 @@ def test_snapshot_round_trip():
     x = tuple(rng.normal(0, 1, 4).tolist())
     assert clone.score_one(x) == model.score_one(x)
     assert snapshot_json(clone) == snapshot_json(model)
+
+
+_values = st.floats(-1e6, 1e6, allow_nan=False)
+_stream = st.lists(st.tuples(st.tuples(_values, _values, _values), st.integers(0, 1)), max_size=60)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_stream, st.booleans())
+def test_scaler_state_equals_running_stats_triple_for_triple(samples, standardize):
+    model = LogisticRegression(n_features=3, standardize=standardize)
+    reference = [RunningStats() for _ in range(3)]
+    for x, y in samples:
+        model.learn_one(x, y)
+        if standardize:
+            for j, v in enumerate(x):
+                reference[j].update(v)
+    assert model.to_state()["scaler"] == [rs.to_state() for rs in reference]
+
+
+def test_restore_rejects_scaler_stats_whose_weights_disagree():
+    model = LogisticRegression()
+    for i in range(10):
+        model.learn_one((float(i), 1.0, 2.0, 3.0), i % 2)
+    data = snapshot_dict(model)
+    restore_model(data)
+    data["state"]["scaler"][2][0] += 1.0
+    with pytest.raises(ValueError, match="scaler count"):
+        restore_model(data)

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftstream.errors import NonFiniteInput
 from driftstream.models import GaussianNB
 from driftstream.models.snapshot import restore_model, snapshot_dict, snapshot_json
+from driftstream.stats import RunningStats
 
 
 def test_unfitted_scores_half():
@@ -130,3 +133,35 @@ def test_snapshot_round_trip():
     clone = restore_model(snapshot_dict(model))
     x = (0.5, -1.0, 2.0, 0.0)
     assert clone.score_one(x) == model.score_one(x)
+
+
+_values = st.floats(-1e6, 1e6, allow_nan=False)
+_stream = st.lists(st.tuples(st.tuples(_values, _values, _values), st.integers(0, 1)), max_size=60)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_stream)
+def test_state_equals_running_stats_triple_for_triple(samples):
+    model = GaussianNB(n_features=3)
+    reference = [[RunningStats() for _ in range(3)] for _ in range(2)]
+    for x, y in samples:
+        model.learn_one(x, y)
+        for j, v in enumerate(x):
+            reference[y][j].update(v)
+    state = model.to_state()
+    assert state["counts"] == [sum(1.0 for _, y in samples if y == cls) for cls in (0, 1)]
+    assert state["stats"] == [[rs.to_state() for rs in per_class] for per_class in reference]
+    for cls in (0, 1):
+        for j in range(3):
+            assert model.class_variance(cls, j) == reference[cls][j].variance
+
+
+def test_restore_rejects_stats_whose_weight_differs_from_the_class_count():
+    model = GaussianNB()
+    for i in range(10):
+        model.learn_one((float(i), 1.0, 2.0, 3.0), i % 2)
+    data = snapshot_dict(model)
+    restore_model(data)
+    data["state"]["stats"][0][3][0] += 1.0
+    with pytest.raises(ValueError, match="class counts"):
+        restore_model(data)

@@ -161,6 +161,30 @@ def test_leaf_statistics_equal_running_stats_bit_for_bit(samples):
     assert leaf["fmax"] == [v if math.isfinite(v) else None for v in fmax]
 
 
+@settings(max_examples=150, deadline=None)
+@given(_samples, st.integers(0, 2**32 - 1))
+def test_subset_leaf_observes_only_its_features(samples, seed):
+    tree = HoeffdingTree(n_features=3, grace_period=10**9, max_features=2, seed=seed)
+    subset = tree._root.subset
+    reference = [[RunningStats() for _ in range(3)] for _ in range(2)]
+    fmin, fmax = [math.inf] * 3, [-math.inf] * 3
+    for x, y, weight in samples:
+        tree.learn_one(x, y, weight=weight)
+        for j in subset:
+            reference[y][j].update(x[j], float(weight))
+            fmin[j], fmax[j] = min(fmin[j], x[j]), max(fmax[j], x[j])
+    leaf = tree.to_state()["root"]
+    assert len(subset) == 2 and leaf["subset"] == list(subset)
+    for cls in (0, 1):
+        for j in range(3):
+            if j in subset:
+                assert leaf["stats"][cls][j] == reference[cls][j].to_state()
+            else:
+                assert leaf["stats"][cls][j] == [leaf["counts"][cls], 0.0, 0.0]
+    assert leaf["fmin"] == [v if math.isfinite(v) else None for v in fmin]
+    assert leaf["fmax"] == [v if math.isfinite(v) else None for v in fmax]
+
+
 def gaussian_cdf(x: float, mean: float, std: float) -> float:
     if std <= 0.0:
         return 1.0 if mean <= x else 0.0
