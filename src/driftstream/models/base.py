@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from typing import Protocol, Sequence, runtime_checkable
 
-from ..errors import NonFiniteInput
+from ..errors import NonFiniteInput, OutOfRange
 
 
 @runtime_checkable
@@ -25,7 +25,9 @@ class OnlineClassifier(Protocol):
         """Snapshot of the full mutable state (JSON-compatible)."""
 
 
-def check_sample(x: Sequence[float], y: int | None = None) -> None:
+def check_sample(x: Sequence[float], n_features: int, y: int | None = None) -> None:
+    if len(x) != n_features:
+        raise OutOfRange("x", len(x))
     for v in x:
         if not math.isfinite(v):
             raise NonFiniteInput("feature value")

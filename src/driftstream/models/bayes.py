@@ -30,7 +30,7 @@ class GaussianNB:
         self.m2s = [[0.0] * n_features, [0.0] * n_features]
 
     def learn_one(self, x: Sequence[float], y: int) -> None:
-        check_sample(x, y)
+        check_sample(x, self.n_features, y)
         counts = self.counts
         n = counts[y] + 1.0
         counts[y] = n
@@ -63,7 +63,7 @@ class GaussianNB:
         return total
 
     def score_one(self, x: Sequence[float]) -> float:
-        check_sample(x)
+        check_sample(x, self.n_features)
         n0, n1 = self.counts
         total = n0 + n1
         if total == 0.0:

@@ -102,7 +102,7 @@ class AdaptiveRandomForest:
         )
 
     def score_one(self, x: Sequence[float]) -> float:
-        check_sample(x)
+        check_sample(x, self.n_features)
         total = 0.0
         for tree in self.trees:
             node = tree._root
@@ -113,7 +113,7 @@ class AdaptiveRandomForest:
         return total / self.n_trees
 
     def learn_one(self, x: Sequence[float], y: int) -> None:
-        check_sample(x, y)
+        check_sample(x, self.n_features, y)
         if self.bagging:
             # one vector draw yields the same stream as n_trees scalar draws
             weights = self._bag_rng.poisson(self.lambda_bag, size=self.n_trees).tolist()

@@ -32,7 +32,7 @@ class LogisticRegression:
         self.m2s = [0.0] * n_features
 
     def score_one(self, x: Sequence[float]) -> float:
-        check_sample(x)
+        check_sample(x, self.n_features)
         z = self.bias
         n = self.scale_n
         if self.standardize and n != 0.0:
@@ -45,7 +45,7 @@ class LogisticRegression:
         return sigmoid(z)
 
     def learn_one(self, x: Sequence[float], y: int) -> None:
-        check_sample(x, y)
+        check_sample(x, self.n_features, y)
         weights = self.weights
         if self.standardize:
             n = self.scale_n + 1.0

@@ -112,12 +112,12 @@ class HoeffdingTree:
         return node, parent, side
 
     def score_one(self, x: Sequence[float]) -> float:
-        check_sample(x)
+        check_sample(x, self.n_features)
         leaf, _, _ = self._route(x)
         return leaf.probability()
 
     def learn_one(self, x: Sequence[float], y: int, weight: int = 1) -> None:
-        check_sample(x, y)
+        check_sample(x, self.n_features, y)
         if weight < 1:
             raise ValueError("weight must be a positive integer")
         self._learn_routed(self._route(x), x, y, weight)
@@ -253,7 +253,7 @@ class HoeffdingTree:
                 self._node_from_state(state["left"]),
                 self._node_from_state(state["right"]),
             )
-        leaf = _Leaf(self.n_features, tuple(state["subset"]) if state["subset"] else None)
+        leaf = _Leaf(self.n_features, tuple(state["subset"]) if state["subset"] is not None else None)
         leaf.counts = [float(c) for c in state["counts"]]
         leaf.means, leaf.m2s = welford_from_state(leaf.counts, state["stats"], "class counts")
         leaf.fmin = [math.inf if v is None else float(v) for v in state["fmin"]]

@@ -25,8 +25,10 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
+from itertools import islice, repeat
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -39,7 +41,18 @@ from .errors import (
     OutOfRange,
     check_fields,
 )
-from .telemetry import CSV_COLUMNS, LABELS, Label, Segment, TelemetryEvent, serialize_row, validate
+from .telemetry import (
+    CSV_COLUMNS,
+    LABEL_OF_TEXT,
+    LABELS,
+    REQUIRED_FIELDS,
+    SEGMENT_OF_TEXT,
+    Label,
+    Segment,
+    TelemetryEvent,
+    serialize_row,
+    validate,
+)
 
 SeedLike = Union[int, np.random.SeedSequence, np.random.Generator, None]
 
@@ -160,6 +173,11 @@ class StreamConfig:
         ])
 
 
+_CHUNK_ROWS = 4096
+_CANONICAL_KEYS = frozenset(CSV_COLUMNS)
+_REQUIRED_KEYS = frozenset(REQUIRED_FIELDS)
+
+
 def load_csv(
     path: str,
     *,
@@ -175,6 +193,13 @@ def load_csv(
     as with ``csv.DictReader``: blank lines are skipped and not counted, a
     short row's missing cells are None, extra cells are dropped and a
     repeated column keeps its last cell.
+
+    Rows are read in chunks of ``_CHUNK_ROWS``. When the mapped header
+    names only canonical columns, each once and every required one, a
+    chunk whose rows all have the header's length is parsed a column at a
+    time and checked whole (see ``_chunk_events``). A chunk that fails any
+    step is validated again row by row through ``validate``, which alone
+    defines a valid row and names the error.
     """
     events: list[TelemetryEvent] = []
     with open(path, newline="", encoding="utf-8") as fh:
@@ -183,25 +208,95 @@ def load_csv(
         if header is None:
             return events
         names = [column_map.get(key, key) for key in header] if column_map else header
-        n_names = len(names)
+        positions = {name: i for i, name in enumerate(names)}
+        if len(positions) < len(names) or not _REQUIRED_KEYS <= positions.keys() <= _CANONICAL_KEYS:
+            positions = None
         prev_ts = None
         row_number = 0
-        for row in reader:
-            if not row:
+        while chunk := list(islice(reader, _CHUNK_ROWS)):
+            rows = list(filter(None, chunk))  # blank lines are skipped and not counted
+            if not rows:
                 continue
-            row_number += 1
-            record = dict(zip(names, row))
-            if len(row) < n_names:
-                record.update(dict.fromkeys(names[len(row):]))
-            try:
-                event = validate(record, index=row_number - 1, segment=default_segment)
-            except DriftStreamError as err:
-                raise MalformedRow(row_number, err) from err
-            if prev_ts is not None and event.timestamp <= prev_ts:
-                raise MalformedRow(row_number, OutOfRange("timestamp", event.timestamp))
-            prev_ts = event.timestamp
-            events.append(event)
+            parsed = _chunk_events(rows, positions, row_number, prev_ts, default_segment) if positions else None
+            if parsed is None:
+                _validate_rows(rows, names, row_number, prev_ts, default_segment, events)
+            else:
+                events.extend(parsed)
+            row_number += len(rows)
+            prev_ts = events[-1].timestamp
     return events
+
+
+def _chunk_events(
+    rows: list[list[str]],
+    positions: dict[str, int],
+    row_number: int,
+    prev_ts: Optional[int],
+    default_segment: Segment,
+) -> Optional[list[TelemetryEvent]]:
+    """The chunk's events if ``validate`` accepts every row, else None.
+
+    Each column is parsed with the calls ``validate`` makes: ``float`` for
+    the measurements, ``int`` for timestamps and exact text lookups for
+    label and segment. Any other spelling (a blank cell, ``"1.0"``, a short
+    row) raises here and sends the chunk to the row loop. The columns are
+    then checked whole: finite sums, BER in [0, 1] by min and max, OSNR > 0
+    by min, and timestamps that strictly increase past ``prev_ts``.
+    """
+    try:
+        columns = list(zip(*rows, strict=True))
+        if len(columns) != len(positions):
+            return None
+        ber_tx, osnr_tx, ber_rx, osnr_rx = (
+            list(map(float, columns[positions[name]])) for name in ("ber_tx", "osnr_tx", "ber_rx", "osnr_rx")
+        )
+        labels = list(map(LABEL_OF_TEXT.__getitem__, columns[positions["label"]]))
+        if "timestamp" in positions:
+            timestamps = list(map(int, columns[positions["timestamp"]]))
+        else:
+            timestamps = range(row_number, row_number + len(rows))
+        if "segment" in positions:
+            segments = list(map(SEGMENT_OF_TEXT.__getitem__, columns[positions["segment"]]))
+        else:
+            segments = repeat(default_segment, len(rows))
+    except (ValueError, KeyError):
+        return None
+    if not all(map(math.isfinite, map(sum, (ber_tx, osnr_tx, ber_rx, osnr_rx)))):
+        return None
+    if min(ber_tx) < 0.0 or max(ber_tx) > 1.0 or min(ber_rx) < 0.0 or max(ber_rx) > 1.0:
+        return None
+    if min(osnr_tx) <= 0.0 or min(osnr_rx) <= 0.0:
+        return None
+    if prev_ts is not None and timestamps[0] <= prev_ts:
+        return None
+    if not all(map(operator.lt, timestamps, islice(timestamps, 1, None))):
+        return None
+    return list(map(TelemetryEvent, timestamps, ber_tx, osnr_tx, ber_rx, osnr_rx, labels, segments))
+
+
+def _validate_rows(
+    rows: list[list[str]],
+    names: list[str],
+    row_number: int,
+    prev_ts: Optional[int],
+    default_segment: Segment,
+    events: list[TelemetryEvent],
+) -> None:
+    """Validate rows one record at a time, appending to ``events``; the first bad row raises."""
+    n_names = len(names)
+    for row in rows:
+        row_number += 1
+        record = dict(zip(names, row))
+        if len(row) < n_names:
+            record.update(dict.fromkeys(names[len(row):]))
+        try:
+            event = validate(record, index=row_number - 1, segment=default_segment)
+        except DriftStreamError as err:
+            raise MalformedRow(row_number, err) from err
+        if prev_ts is not None and event.timestamp <= prev_ts:
+            raise MalformedRow(row_number, OutOfRange("timestamp", event.timestamp))
+        prev_ts = event.timestamp
+        events.append(event)
 
 
 def write_csv(events: Sequence[TelemetryEvent], path: str) -> None:
@@ -369,11 +464,10 @@ def _build_events(
     ber_rx = _waterfall_ber(osnr_rx, cfg, rng)
     osnr_tx = np.maximum(cfg.osnr_tx_mean + cfg.osnr_tx_std * rng.standard_normal(n), 0.01)
     ber_tx = _waterfall_ber(osnr_tx, cfg, rng)
-    columns = zip(ber_tx.tolist(), osnr_tx.tolist(), ber_rx.tolist(), osnr_rx.tolist(), labels.tolist())
-    return [
-        TelemetryEvent(i, b_tx, o_tx, b_rx, o_rx, LABELS[label], segment)
-        for i, (b_tx, o_tx, b_rx, o_rx, label) in enumerate(columns)
-    ]
+    return list(map(
+        TelemetryEvent, range(n), ber_tx.tolist(), osnr_tx.tolist(), ber_rx.tolist(), osnr_rx.tolist(),
+        map(LABELS.__getitem__, labels.tolist()), repeat(segment, n),
+    ))
 
 
 def generate_synthetic_segments(

@@ -9,7 +9,7 @@ once, at the edge.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from enum import Enum
 from typing import Mapping, Optional
 
@@ -41,10 +41,11 @@ class Segment(str, Enum):
 
 # LABELS[v] is Label(v), without the cost of an enum call.
 LABELS = tuple(Label)
-_SEGMENTS = {segment.value: segment for segment in Segment}
-# The CSV text of each label and segment, as serialize_row writes it.
+# The CSV text of each label and segment, as serialize_row writes it, and back.
 _LABEL_TEXT = tuple(str(label.value) for label in Label)
 _SEGMENT_TEXT = {segment: segment.value for segment in Segment}
+LABEL_OF_TEXT = {text: label for label, text in zip(Label, _LABEL_TEXT)}
+SEGMENT_OF_TEXT = {text: segment for segment, text in _SEGMENT_TEXT.items()}
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -92,6 +93,22 @@ class TelemetryEvent:
 (_set_timestamp, _set_ber_tx, _set_osnr_tx, _set_ber_rx, _set_osnr_rx, _set_label, _set_segment, _set_meta) = (
     TelemetryEvent.__dict__[name].__set__ for name in TelemetryEvent.__slots__
 )
+
+
+# The frozen __setattr__/__delattr__ that dataclass generates refer to the class
+# before slots=True rebuilt it, and raise TypeError for a name that is not a field;
+# these raise the dataclass error for every name. Construction, pickling and
+# deepcopy store fields through the slot descriptors or object.__setattr__.
+def _refuse_setattr(self, name: str, value) -> None:
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_delattr(self, name: str) -> None:
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+TelemetryEvent.__setattr__ = _refuse_setattr
+TelemetryEvent.__delattr__ = _refuse_delattr
 
 
 REQUIRED_FIELDS = ("ber_tx", "osnr_tx", "ber_rx", "osnr_rx", "label")
@@ -178,7 +195,7 @@ def validate(
         if raw["segment"] is None:
             raise MissingField("segment")
         if str(raw["segment"]).strip() != "":
-            seg = _SEGMENTS.get(str(raw["segment"]))
+            seg = SEGMENT_OF_TEXT.get(str(raw["segment"]))
             if seg is None:
                 raise OutOfRange("segment", raw["segment"])
 

@@ -135,6 +135,22 @@ def test_snapshot_round_trip_mid_growth():
     assert snapshot_json(clone) == snapshot_json(tree)
 
 
+def test_snapshot_round_trip_keeps_an_empty_feature_subset():
+    rng = np.random.default_rng(4)
+    tree = HoeffdingTree(n_features=4, grace_period=20, max_features=0, seed=1)
+    stream = [tuple(rng.normal(0, 1, 4).tolist()) for _ in range(400)]
+    for x in stream[:200]:
+        tree.learn_one(x, int(x[0] > 0))
+    clone = restore_model(snapshot_dict(tree))
+    assert tree._root.subset == () and clone._root.subset == ()
+    for x in stream[200:]:
+        assert clone.score_one(x) == tree.score_one(x)
+        clone.learn_one(x, int(x[0] > 0))
+        tree.learn_one(x, int(x[0] > 0))
+    assert snapshot_json(clone) == snapshot_json(tree)
+    assert clone.n_splits == 0  # a leaf with no features has nothing to split on
+
+
 # samples (x, y, weight); the few fixed values let ranges collapse, or span less than the 1e-6 std floor
 _values = st.one_of(st.floats(-1e6, 1e6, allow_nan=False), st.sampled_from([0.0, 1.0, 0.5, 0.5 + 1e-7, 0.5 + 4e-6]))
 _samples = st.lists(

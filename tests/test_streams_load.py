@@ -1,0 +1,187 @@
+"""load_csv's column path against the per-row loop it replaced.
+
+``_load_csv_per_row`` is load_csv as it was before rows were read in
+chunks: one record dict and one ``validate`` call per row. load_csv must
+return the same events bit for bit, or raise the same error for the same
+row, for any chunk size.
+"""
+
+import csv
+from typing import Optional
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from driftstream import streams
+from driftstream.errors import DriftStreamError, MalformedRow, OutOfRange, UnparsableNumber
+from driftstream.streams import load_csv
+from driftstream.telemetry import CSV_COLUMNS, Segment, validate
+
+
+def _load_csv_per_row(
+    path: str, *, column_map: Optional[dict] = None, default_segment: Segment = Segment.SFD
+) -> list:
+    events = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            return events
+        names = [column_map.get(key, key) for key in header] if column_map else header
+        n_names = len(names)
+        prev_ts = None
+        row_number = 0
+        for row in reader:
+            if not row:
+                continue
+            row_number += 1
+            record = dict(zip(names, row))
+            if len(row) < n_names:
+                record.update(dict.fromkeys(names[len(row):]))
+            try:
+                event = validate(record, index=row_number - 1, segment=default_segment)
+            except DriftStreamError as err:
+                raise MalformedRow(row_number, err) from err
+            if prev_ts is not None and event.timestamp <= prev_ts:
+                raise MalformedRow(row_number, OutOfRange("timestamp", event.timestamp))
+            prev_ts = event.timestamp
+            events.append(event)
+    return events
+
+
+def _outcome(load, path, **kwargs):
+    """Every field of every event, floats as hex and enums by identity; or the error's details."""
+    try:
+        events = load(path, **kwargs)
+    except MalformedRow as err:
+        return ("error", str(err), err.row, type(err.cause), err.cause.field)
+    return [
+        (
+            type(e.timestamp), e.timestamp, *(v.hex() for v in (e.ber_tx, e.osnr_tx, e.ber_rx, e.osnr_rx)),
+            id(e.label), id(e.segment), e.meta,
+        )
+        for e in events
+    ]
+
+
+_CHUNK_SIZES = (1, 2, 3, streams._CHUNK_ROWS)
+_BAD_CELLS = ("nan", "inf", "-inf", "1e400", "-1e-9", "0", "-3.5", "1e-400", "", " ", "1.0", "2", " SFD", "1_0", "x")
+_FLOAT_CELLS = {
+    "ber_tx": st.floats(0.0, 1.0).map(repr),
+    "ber_rx": st.one_of(st.floats(0.0, 1.0).map(repr), st.sampled_from(["1e-9", "0", "-0.0", " 0.5 ", "1"])),
+    "osnr_tx": st.floats(1e-300, 1e300).map(repr),
+    "osnr_rx": st.one_of(st.floats(0.01, 60.0).map(repr), st.sampled_from(["25", "1_0", "1.7e308"])),
+}
+
+
+@st.composite
+def _csv_files(draw):
+    """(text, column_map) for a segment file: mostly valid rows, a few faults."""
+    names = list(draw(st.permutations(CSV_COLUMNS)))
+    for optional in ("timestamp", "segment"):
+        if draw(st.booleans()):
+            names.remove(optional)
+    extra = draw(st.sampled_from([None, None, None, "site", "label", "osnr_rx", "timestamp"]))
+    if extra is not None:
+        names.insert(draw(st.integers(0, len(names))), extra)
+    column_map = None
+    header = list(names)
+    if "osnr_rx" in names and draw(st.booleans()):
+        header = ["OSNR_SPO2" if name == "osnr_rx" else name for name in names]
+        column_map = {"OSNR_SPO2": "osnr_rx"}
+
+    n_rows = draw(st.integers(0, 10))
+    ts = draw(st.sampled_from([0, -5, 2**53 - 2, 2**63]))
+    rows = []
+    for _ in range(n_rows):
+        ts += draw(st.integers(1, 3))
+        row = []
+        for name in names:
+            if name == "timestamp":
+                row.append(str(ts))
+            elif name == "label":
+                row.append(draw(st.sampled_from(["0", "1"])))
+            elif name == "segment":
+                row.append(draw(st.sampled_from([s.value for s in Segment])))
+            elif name == "site":
+                row.append(draw(st.sampled_from(["A", "b", ""])))
+            else:
+                row.append(draw(_FLOAT_CELLS[name]))
+        rows.append(row)
+
+    # a few faults: a bad cell, a repeated timestamp, a short or long row, blank lines
+    for _ in range(draw(st.integers(0, 3))):
+        if not rows:
+            break
+        i = draw(st.integers(0, len(rows) - 1))
+        kind = draw(st.sampled_from(["cell", "cell", "repeat_ts", "short", "long", "blank"]))
+        if kind == "cell" and rows[i]:
+            rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(st.sampled_from(_BAD_CELLS))
+        elif kind == "repeat_ts" and i > 0 and "timestamp" in names:
+            j = names.index("timestamp")
+            if j < min(len(rows[i]), len(rows[i - 1])):
+                rows[i][j] = rows[i - 1][j]
+        elif kind == "short":
+            rows[i] = rows[i][: draw(st.integers(1, max(1, len(rows[i]) - 1)))]
+        elif kind == "long":
+            rows[i] = rows[i] + draw(st.lists(st.sampled_from(["", "7", "zz"]), min_size=1, max_size=2))
+        elif kind == "blank":
+            rows[i:i] = [[]] * draw(st.integers(1, 4))
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    return "\n".join(lines) + "\n", column_map
+
+
+@settings(max_examples=400, deadline=None)
+@given(_csv_files(), st.sampled_from(list(Segment)))
+def test_load_csv_equals_the_per_row_loop_for_any_chunk_size(tmp_path_factory, file, default_segment):
+    text, column_map = file
+    path = str(tmp_path_factory.mktemp("load") / "seg.csv")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    kwargs = {"column_map": column_map, "default_segment": default_segment}
+    expected = _outcome(_load_csv_per_row, path, **kwargs)
+    default = streams._CHUNK_ROWS
+    try:
+        for size in _CHUNK_SIZES:
+            streams._CHUNK_ROWS = size
+            assert _outcome(load_csv, path, **kwargs) == expected, size
+    finally:
+        streams._CHUNK_ROWS = default
+
+
+_HEADER = ",".join(CSV_COLUMNS)
+
+
+def _row(ts, osnr_rx="25.0", ber_tx="1e-9"):
+    return f"{ts},{ber_tx},32.0,1e-6,{osnr_rx},0,HFD"
+
+
+@pytest.mark.parametrize(
+    "lines, error",
+    [
+        # a bad row first, then last, in a chunk of three
+        ([_row(0), _row(1), _row(2), _row(3, osnr_rx="nan"), _row(4), _row(5)], (OutOfRange, 4, "osnr_rx")),
+        ([_row(0), _row(1), _row(2), _row(3), _row(4), _row(5, ber_tx="")], (UnparsableNumber, 6, "ber_tx")),
+        # a timestamp that does not increase, exactly across the chunk boundary
+        ([_row(0), _row(1), _row(2), _row(2), _row(4)], (OutOfRange, 4, "timestamp")),
+        ([_row(0), _row(1), _row(9), _row(3), _row(4)], (OutOfRange, 4, "timestamp")),
+        # a chunk of only blank lines does not end the read
+        ([_row(0), _row(1), _row(2), "", "", "", _row(3), _row(4, osnr_rx="-1")], (OutOfRange, 5, "osnr_rx")),
+        ([_row(0), _row(1), _row(2), "", "", "", _row(3), _row(4)], None),
+        (["", "", "", _row(2**53 + 1), _row(2**53 + 2), _row(2**53 + 3)], None),
+    ],
+)
+def test_load_csv_faults_at_chunk_edges(tmp_path, monkeypatch, lines, error):
+    monkeypatch.setattr(streams, "_CHUNK_ROWS", 3)
+    path = tmp_path / "seg.csv"
+    path.write_text("\n".join([_HEADER, *lines]) + "\n")
+    expected = _outcome(_load_csv_per_row, str(path))
+    assert _outcome(load_csv, str(path)) == expected
+    if error is None:
+        events = load_csv(str(path))
+        assert len(events) == sum(1 for line in lines if line)
+        assert [e.segment for e in events] == [Segment.HFD] * len(events)
+    else:
+        cause, row, field = error
+        assert expected[2:] == (row, cause, field)

@@ -297,6 +297,16 @@ def test_every_event_field_is_frozen():
     assert _values(event) == list(_ALL)
 
 
+def test_a_name_that_is_not_a_field_is_frozen_too():
+    event = TelemetryEvent(*_ALL)
+    with pytest.raises(dataclasses.FrozenInstanceError, match="cannot assign to field 'extra'"):
+        event.extra = 1
+    with pytest.raises(dataclasses.FrozenInstanceError, match="cannot delete field 'extra'"):
+        del event.extra
+    assert not hasattr(event, "extra")
+    assert _values(event) == list(_ALL)
+
+
 def test_event_replace_changes_only_the_named_fields():
     event = TelemetryEvent(*_ALL)
     changed = dataclasses.replace(event, timestamp=9, segment=Segment.OVERSAMPLED)
