@@ -11,6 +11,12 @@ checkout:
 It reads ``.perfbench/<workload>/report.json`` for each workload, keeps the
 end-to-end metrics and the run's provenance, runs the Tier-1 suite once for
 its pass count and wall time, and writes ``BENCH_8.json``.
+
+    python3 scripts/bench_snapshot.py --trajectory
+
+prints one row per committed ``BENCH_<n>.json`` instead, oldest measured
+commit first: each workload's ``wall_s``, the Tier-1 time and the line count
+of ``src/``, so that speed and size read side by side.
 """
 
 from __future__ import annotations
@@ -93,10 +99,56 @@ def snapshot(root: str, tier1: dict) -> dict:
     return {"src_sha256": src_sha256(root), "tier1": tier1, "workloads": workloads}
 
 
+def commit_order(root: str) -> dict:
+    """Commit -> its position in the history of HEAD, oldest first; empty outside a git checkout."""
+    proc = subprocess.run(["git", "rev-list", "--reverse", "HEAD"], cwd=root, capture_output=True, text=True)
+    return {sha: i for i, sha in enumerate(proc.stdout.split())} if proc.returncode == 0 else {}
+
+
+def trajectory(root: str, order: dict) -> list[dict]:
+    """One row per BENCH_<n>.json at ``root``, ordered by the commit it measured, then by n."""
+    rows = []
+    for name in os.listdir(root):
+        match = re.fullmatch(r"BENCH_(\d+)\.json", name)
+        if not match:
+            continue
+        with open(os.path.join(root, name), encoding="utf-8") as fh:
+            data = json.load(fh)
+        workloads = data["workloads"]
+        first = next(iter(workloads.values()))
+        rows.append({
+            "n": int(match.group(1)),
+            "commit": first["git_commit"],
+            "wall_s": {w: workloads[w]["metrics"]["wall_s"] for w in WORKLOADS if w in workloads},
+            "tier1_s": data["tier1"]["seconds"],
+            "src_lines": first["src_lines"],
+        })
+    rows.sort(key=lambda row: (order.get(row["commit"], float("inf")), row["n"]))
+    return rows
+
+
+def format_trajectory(rows: list[dict]) -> str:
+    header = ["bench", "commit", *(f"{w} s" for w in WORKLOADS), "tier1 s", "src lines"]
+    table = [header] + [
+        [f"BENCH_{row['n']}", row["commit"][:7],
+         *(f"{row['wall_s'][w]:.3f}" if w in row["wall_s"] else "-" for w in WORKLOADS),
+         f"{row['tier1_s']:.1f}", str(row["src_lines"])]
+        for row in rows
+    ]
+    widths = [max(len(line[i]) for line in table) for i in range(len(header))]
+    return "\n".join("  ".join(cell.rjust(width) for cell, width in zip(line, widths)) for line in table)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("number", type=int, help="the n of BENCH_<n>.json")
+    parser.add_argument("number", type=int, nargs="?", help="the n of BENCH_<n>.json")
+    parser.add_argument("--trajectory", action="store_true", help="print the committed BENCH files as one table")
     args = parser.parse_args(argv)
+    if args.trajectory:
+        print(format_trajectory(trajectory(ROOT, commit_order(ROOT))))
+        return 0
+    if args.number is None:
+        parser.error("give the n of BENCH_<n>.json, or --trajectory")
     path = os.path.join(ROOT, f"BENCH_{args.number}.json")
     data = snapshot(ROOT, run_tier1(ROOT))
     with open(path, "w", encoding="utf-8") as fh:

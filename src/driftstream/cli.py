@@ -10,7 +10,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import pickle
+import signal
 import sys
+import traceback
 
 from . import __version__
 from .config import ExperimentConfig, load_config, named_seed
@@ -165,35 +168,159 @@ def _emit_summary(cfg: ExperimentConfig, summary: dict) -> None:
             )
 
 
+def _run_model(cfg: ExperimentConfig, name: str, pretrain, stream, save_models: bool) -> dict:
+    """One model's static/online pair: write its report (and snapshots), return its summary entry."""
+    static_model = cfg.build_model(name)
+    online_model = cfg.build_model(name)
+    report = prequential_run(
+        static_model,
+        online_model,
+        pretrain,
+        stream,
+        cfg.window,
+        shuffle_seed=named_seed(cfg.seed, "pretrain-shuffle"),
+        epochs=cfg.epochs,
+    )
+    export_report(report, os.path.join(cfg.out_dir, f"{name}_metrics.{cfg.format}"), cfg.format)
+    if save_models:
+        save_model(static_model, os.path.join(cfg.out_dir, f"{name}_static.model.json"))
+        save_model(online_model, os.path.join(cfg.out_dir, f"{name}_online.model.json"))
+    return {k: v for k, v in report.summary.items() if k != "window"}
+
+
+class _ForkedFailure(DriftStreamError):
+    """A failure that a model's process already mapped to main's exit code and stderr line."""
+
+    def __init__(self, code: int, line: str):
+        super().__init__(line)
+        self.code = code
+        self.line = line
+
+
+def _exit_status(err: BaseException):
+    """(exit code, stderr line) for an error that main maps, else None."""
+    if isinstance(err, _ForkedFailure):
+        return err.code, err.line
+    if isinstance(err, ConfigError):
+        return EXIT_CONFIG, f"config error: {err}"
+    if isinstance(err, OSError):
+        return EXIT_IO, f"i/o error: {err}"
+    if isinstance(err, DriftStreamError):
+        return EXIT_RUNTIME, f"error: {err}"
+    if isinstance(err, MemoryError):  # a size the config allows but the host cannot hold
+        return EXIT_RUNTIME, f"error: out of memory: {err}"
+    return None
+
+
+def _fork(call, *args):
+    """Start ``call(*args)`` in a child process; return its pid and a file that reads its result.
+
+    The child sends back ``("ok", result)`` or ``("failed", exit code, stderr
+    line)``, since not every exception survives pickling. An error that main
+    would not map prints its traceback and sends nothing. The child always
+    leaves through ``os._exit``, so it never returns into the caller's stack,
+    and it exits 0 only once its message is written. A fork, unlike a fresh
+    interpreter, inherits the built streams without a copy; the package
+    starts no threads, and numpy's BLAS pool shuts down across a fork
+    through its own fork handler.
+    """
+    read_fd, write_fd = os.pipe()
+    sys.stdout.flush()  # so that the child holds no copy of unwritten output
+    sys.stderr.flush()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid:
+        os.close(write_fd)
+        return pid, os.fdopen(read_fd, "rb")
+    code = 1
+    try:
+        os.close(read_fd)
+        try:
+            message = ("ok", call(*args))
+        except BaseException as err:
+            status = _exit_status(err)
+            if status is None:
+                traceback.print_exc()
+                sys.stderr.flush()
+                raise
+            message = ("failed", *status)
+        with os.fdopen(write_fd, "wb") as fh:
+            pickle.dump(message, fh)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _run_forked(names: list, run) -> dict:
+    """``{name: run(name)}``, with each call but the last in its own forked process.
+
+    The parent makes the last call itself, then reads and reaps the
+    children in order. Once all are reaped, the error of the earliest name
+    that failed is raised, as a serial run would raise it. A child that
+    ends without a result is a DriftStreamError naming it.
+    """
+    *forked, last = names
+    children, entries, failures = {}, {}, {}
+    try:
+        for name in forked:
+            children[name] = _fork(run, name)
+        try:
+            entries[last] = run(last)
+        except Exception as err:
+            failures[last] = err
+        for name in forked:
+            pid, result = children[name]
+            with result:
+                data = result.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[name]
+            if code != 0:
+                how = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
+                failures[name] = DriftStreamError(f"model {name!r}: its process {how} without a result")
+            elif (message := pickle.loads(data))[0] == "ok":
+                entries[name] = message[1]
+            else:
+                failures[name] = _ForkedFailure(*message[1:])
+    finally:
+        for pid, result in children.values():  # left only when the parent itself was interrupted
+            result.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    for name in names:
+        if name in failures:
+            raise failures[name]
+    return entries
+
+
 def cmd_run(cfg: ExperimentConfig, args: argparse.Namespace) -> None:
+    """Run each model's static/online pair; with ``os.fork``, all but the last in a child process.
+
+    The pairs share nothing once the streams are built, so on a host with
+    more than one core they run side by side. The outputs, stderr line and
+    exit code are those of a serial run.
+    """
     pretrain, stream, merged, boundary = _assemble(cfg)
     drift_events = _detect_drifts(cfg, merged)
     os.makedirs(cfg.out_dir, exist_ok=True)
     write_drift_csv(drift_events, os.path.join(cfg.out_dir, "drift_events.csv"))
 
+    def run(name):
+        return _run_model(cfg, name, pretrain, stream, args.save_models)
+
+    if hasattr(os, "fork"):
+        entries = _run_forked(cfg.models, run)
+    else:
+        entries = {name: run(name) for name in cfg.models}
     summary = {
         "window": cfg.window,
         "seed": cfg.seed,
         "drift_boundary_index": boundary,
-        "models": {},
+        "models": {name: entries[name] for name in cfg.models},
     }
-    for name in cfg.models:
-        static_model = cfg.build_model(name)
-        online_model = cfg.build_model(name)
-        report = prequential_run(
-            static_model,
-            online_model,
-            pretrain,
-            stream,
-            cfg.window,
-            shuffle_seed=named_seed(cfg.seed, "pretrain-shuffle"),
-            epochs=cfg.epochs,
-        )
-        export_report(report, os.path.join(cfg.out_dir, f"{name}_metrics.{cfg.format}"), cfg.format)
-        if args.save_models:
-            save_model(static_model, os.path.join(cfg.out_dir, f"{name}_static.model.json"))
-            save_model(online_model, os.path.join(cfg.out_dir, f"{name}_online.model.json"))
-        summary["models"][name] = {k: v for k, v in report.summary.items() if k != "window"}
     with open(os.path.join(cfg.out_dir, "summary.json"), "w", encoding="utf-8") as fh:
         json.dump(summary, fh, sort_keys=True, indent=2)
     if not args.quiet:
@@ -271,18 +398,10 @@ def main(argv=None) -> int:
         _COMMANDS[args.command][0](cfg, args)
         _write_manifest(cfg, args.command)
         return EXIT_OK
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as err:
-        print(f"i/o error: {err}", file=sys.stderr)
-        return EXIT_IO
-    except DriftStreamError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except MemoryError as err:  # a size the config allows but the host cannot hold
-        print(f"error: out of memory: {err}", file=sys.stderr)
-        return EXIT_RUNTIME
+    except (DriftStreamError, OSError, MemoryError) as err:
+        code, line = _exit_status(err)
+        print(line, file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

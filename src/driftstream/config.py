@@ -99,6 +99,7 @@ class ExperimentConfig:
             ("models", bool(self.models), "select at least one model"),
             *(("models", name in VALID_MODELS, f"unknown model name {name!r}; valid: {VALID_MODELS}")
               for name in self.models),
+            ("models", len(set(self.models)) == len(self.models), "each model may be named only once"),
             ("window", 2 <= self.window <= sys.maxsize, "must be in [2, sys.maxsize]"),
             ("epochs", self.epochs >= 1, "must be >= 1"),
             ("format", self.format in VALID_FORMATS, f"must be one of {VALID_FORMATS}"),
@@ -211,4 +212,6 @@ def load_config(path: str) -> ExperimentConfig:
             data = json.load(fh)
         except json.JSONDecodeError as err:
             raise ConfigError("config", f"not valid JSON: {err}") from err
+        except UnicodeDecodeError as err:
+            raise ConfigError("config", f"not UTF-8 text: {err}") from err
     return config_from_dict(data)

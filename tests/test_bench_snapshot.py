@@ -56,3 +56,40 @@ def test_a_tiny_scale_report_is_rejected():
     report = {"result": {}, "meta": {"workload": "paper-run", "scale": "tiny"}}
     with pytest.raises(ValueError, match="paper-run.*tiny"):
         bench_snapshot.workload_entry(report)
+
+
+def _bench_file(root, n, commit, wall_s, tier1_s, src_lines):
+    workloads = {
+        name: {"git_commit": commit, "src_lines": src_lines, "metrics": {"wall_s": wall}}
+        for name, wall in zip(bench_snapshot.WORKLOADS, wall_s)
+    }
+    data = {"tier1": {"passed": 1, "failed": 0, "seconds": tier1_s}, "workloads": workloads}
+    (root / f"BENCH_{n}.json").write_text(json.dumps(data))
+
+
+def test_trajectory_orders_the_bench_files_by_the_commit_they_measured(tmp_path):
+    _bench_file(tmp_path, 8, "c" * 40, (1.161, 1.444, 1.23), 38.61, 2829)
+    _bench_file(tmp_path, 10, "e" * 40, (0.953, 1.174), 53.92, 2987)  # no ingest-drift entry
+    _bench_file(tmp_path, 3, "a" * 40, (5.79, 2.68, 2.68), 20.0, 2811)  # backfilled for an older commit
+    _bench_file(tmp_path, 2, "f" * 40, (9.0, 9.0, 9.0), 1.0, 1)  # a commit outside the history goes last
+    (tmp_path / "BENCH_notes.json").write_text("not a snapshot")
+    order = {"a" * 40: 0, "c" * 40: 2, "e" * 40: 4}
+    rows = bench_snapshot.trajectory(str(tmp_path), order)
+    assert [row["n"] for row in rows] == [3, 8, 10, 2]
+    assert rows[1] == {
+        "n": 8, "commit": "c" * 40, "tier1_s": 38.61, "src_lines": 2829,
+        "wall_s": dict(zip(bench_snapshot.WORKLOADS, (1.161, 1.444, 1.23))),
+    }
+    lines = bench_snapshot.format_trajectory(rows).splitlines()
+    assert lines[0].split() == ["bench", "commit", "paper-run", "s", "serve-latency", "s", "ingest-drift", "s",
+                                "tier1", "s", "src", "lines"]
+    assert lines[1].split() == ["BENCH_3", "aaaaaaa", "5.790", "2.680", "2.680", "20.0", "2811"]
+    assert lines[3].split() == ["BENCH_10", "eeeeeee", "0.953", "1.174", "-", "53.9", "2987"]
+    assert len({len(line) for line in lines}) == 1  # aligned columns
+
+
+def test_trajectory_without_git_orders_by_number(tmp_path):
+    _bench_file(tmp_path, 10, "e" * 40, (1.0, 1.0, 1.0), 1.0, 1)
+    _bench_file(tmp_path, 9, "c" * 40, (1.0, 1.0, 1.0), 1.0, 1)
+    assert bench_snapshot.commit_order(str(tmp_path)) == {}
+    assert [row["n"] for row in bench_snapshot.trajectory(str(tmp_path), {})] == [9, 10]

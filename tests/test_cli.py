@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import pathlib
 import statistics
 import tempfile
 
@@ -344,10 +345,13 @@ def test_bench_pretrains_like_run(tmp_path, monkeypatch):
         {"models": ["lr", "nb", "arf"], "epochs": 2, "bench": {"trials": 1, "events_per_trial": 5, "warmup_trials": 0}},
     )
     pretrained = {"run": {}, "bench": {}}
+    # run's models may train in child processes, so the recorder writes files
+    recorded = tmp_path / "pretrained"
+    recorded.mkdir()
 
     def record_static_arm(static_model, online_model, *args, **kwargs):
         report = prequential_run(static_model, online_model, *args, **kwargs)
-        pretrained["run"][type(static_model).__name__] = snapshot_json(static_model)
+        (recorded / type(static_model).__name__).write_text(snapshot_json(static_model))
         return report
 
     def record_timed_models(models, *args, **kwargs):
@@ -357,6 +361,7 @@ def test_bench_pretrains_like_run(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "prequential_run", record_static_arm)
     monkeypatch.setattr(cli, "latency_benchmark", record_timed_models)
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "r"), "--quiet"]) == 0
+    pretrained["run"] = {path.name: path.read_text() for path in recorded.iterdir()}
     assert main(["bench", "--config", cfg, "--out", str(tmp_path / "b"), "--quiet"]) == 0
     assert set(pretrained["bench"]) == {"LogisticRegression", "GaussianNB", "AdaptiveRandomForest"}
     for name, state in pretrained["bench"].items():
@@ -490,3 +495,79 @@ def test_any_json_config_object_exits_with_a_known_code(config, command):
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(config, fh)
         assert main([command, "--config", path, "--out", os.path.join(tmp, "o"), "--quiet"]) in (0, 2, 3, 4)
+
+
+# -- bytes a CSV or config file cannot be read as ----------------------------------
+
+
+def file_mode_config(tmp_path, sfd, hfd):
+    """A file-mode config over two CSVs with the given bytes."""
+    (tmp_path / "sfd.csv").write_bytes(sfd)
+    (tmp_path / "hfd.csv").write_bytes(hfd)
+    stream = {"mode": "file", "sfd_path": str(tmp_path / "sfd.csv"), "hfd_path": str(tmp_path / "hfd.csv")}
+    return write_config(tmp_path, {"stream": stream}, name="cfg_file.json")
+
+
+def event_rows(timestamps, label=0):
+    return [f"{ts},1e-9,32.0,1e-6,25.0,{label},SFD".encode() for ts in timestamps]
+
+
+HEADER = b"timestamp,ber_tx,osnr_tx,ber_rx,osnr_rx,label,segment"
+VALID_CSV = b"\n".join([HEADER, *event_rows(range(50)), *event_rows(range(50, 60), label=1)]) + b"\n"
+
+
+@pytest.mark.parametrize(
+    "hfd, message",
+    [
+        (b"\n".join([HEADER, *event_rows(range(3)), b"4,1e-9,32.0,1e-6,2\xff,0,SFD"]), "malformed row 4: bytes that are not UTF-8"),
+        # a byte-order mark leaves the timestamp column readable, so equal ones are caught
+        (b"\xef\xbb\xbf" + b"\n".join([HEADER, *event_rows([1, 1])]), "malformed row 2: value out of range for timestamp: 1"),
+        (b"\n".join([HEADER, *event_rows([1]), b'"' + event_rows([2])[0], *event_rows(range(3, 5000))]),
+         "malformed row 2: unreadable CSV: field larger than field limit (131072)"),
+    ],
+    ids=["not-utf8", "byte-order-mark", "field-limit"],
+)
+def test_unreadable_csv_bytes_exit_4_naming_the_row(tmp_path, capsys, hfd, message):
+    cfg = file_mode_config(tmp_path, VALID_CSV, hfd)
+    assert main(["drift", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 4
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_a_config_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(b'{"seed": 5, "out_dir": "\xff"}')
+    assert main(["drift", "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config field 'config': not UTF-8 text") and err.count("\n") == 1
+
+
+# Size caps: the edited file starts from VALID_CSV, 60 rows of about 30 bytes, and at
+# most three edits apply, the largest a 200,000-character field, so one example reads
+# under a megabyte.
+
+
+@st.composite
+def edited_csv(draw):
+    """VALID_CSV with up to three byte-level edits of the kinds spreadsheets and truncated copies make."""
+    data = VALID_CSV
+    for edit in draw(st.lists(st.sampled_from(["truncate", "bom", "insert", "field", "cr"]), max_size=3)):
+        at = draw(st.integers(0, len(data)))
+        if edit == "truncate":
+            data = data[:at]
+        elif edit == "bom":
+            data = b"\xef\xbb\xbf" + data
+        elif edit == "insert":
+            data = data[:at] + draw(st.sampled_from([b"\xff", b"\x00", b'"', b"\xc3", b"\r"])) + data[at:]
+        elif edit == "field":
+            data = data[:at] + b"9" * 200_000 + data[at:]
+        else:
+            data = data.replace(b"\n", b"\r")
+    return data
+
+
+@settings(max_examples=100, deadline=None)
+@given(hfd=edited_csv())
+def test_any_edited_csv_exits_with_a_known_code(hfd):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = file_mode_config(pathlib.Path(tmp), VALID_CSV, hfd)
+        assert main(["drift", "--config", cfg, "--out", os.path.join(tmp, "o"), "--quiet"]) in (0, 2, 3, 4)

@@ -1,0 +1,153 @@
+"""`driftstream run` with each model but the last in its own forked process.
+
+The forked run must be indistinguishable from a serial one: the same bytes
+in every report, and on failure the same exit code and stderr line, with
+the earliest failing model in ``cfg.models`` order named. After ``main``
+returns, on every path, no child process is left to reap.
+"""
+
+import json
+import os
+import signal
+import time
+
+import pytest
+
+from driftstream import cli
+from driftstream.cli import main
+from driftstream.errors import NonFiniteInput, PrequentialAbort
+from driftstream.evaluation import prequential_run
+
+from test_cli import read_bytes_tree, write_config
+
+MODELS = ("lr", "nb", "arf")
+CLASS_OF = {"LogisticRegression": "lr", "GaussianNB": "nb", "AdaptiveRandomForest": "arf"}
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def run(tmp_path, models, out, *flags):
+    cfg = write_config(tmp_path, {"models": list(MODELS)})
+    return main(["run", "--config", cfg, "--models", ",".join(models), "--out", str(tmp_path / out), "--quiet", *flags])
+
+
+def failing_models(monkeypatch, failures):
+    """Make prequential_run raise ``failures[model]`` for the models it names."""
+
+    def fake(static_model, online_model, *args, **kwargs):
+        name = CLASS_OF[type(static_model).__name__]
+        if name in failures:
+            raise failures[name]
+        return prequential_run(static_model, online_model, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "prequential_run", fake)
+
+
+def test_each_models_files_equal_the_model_run_alone(tmp_path, monkeypatch):
+    assert run(tmp_path, MODELS, "all", "--save-models") == 0
+    assert_no_children()
+    together = read_bytes_tree(tmp_path / "all")
+    summary = together.pop("summary.json")
+    together.pop("manifest.json")  # it names the output directory
+    alone = {}
+
+    def no_fork():
+        raise AssertionError("a single-model run forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    for name in MODELS:
+        assert run(tmp_path, [name], name, "--save-models") == 0
+        files = read_bytes_tree(tmp_path / name)
+        files.pop("manifest.json")
+        alone[name] = files.pop("summary.json")
+        assert files.pop("drift_events.csv") == together["drift_events.csv"]
+        assert set(files) == {f"{name}_metrics.csv", f"{name}_static.model.json", f"{name}_online.model.json"}
+        for fname, data in files.items():
+            assert together[fname] == data, fname
+    assert len(together) == 1 + 3 * len(MODELS)
+    entries = {name: json.loads(alone[name])["models"][name] for name in MODELS}
+    assert json.loads(summary)["models"] == entries
+
+
+def test_without_fork_every_model_runs_inline(tmp_path, monkeypatch):
+    assert run(tmp_path, MODELS, "forked", "--save-models") == 0
+    monkeypatch.delattr(os, "fork")
+    assert run(tmp_path, MODELS, "inline", "--save-models") == 0
+    forked, inline = read_bytes_tree(tmp_path / "forked"), read_bytes_tree(tmp_path / "inline")
+    forked.pop("manifest.json")
+    inline.pop("manifest.json")
+    assert forked == inline
+
+
+@pytest.mark.parametrize(
+    "failure, code",
+    [
+        (PrequentialAbort(17, NonFiniteInput("score")), 4),  # does not survive pickling
+        (OSError(28, "No space left on device"), 3),
+    ],
+)
+def test_a_failing_child_exits_like_the_model_run_alone(tmp_path, monkeypatch, capsys, failure, code):
+    failing_models(monkeypatch, {"lr": failure})
+    assert run(tmp_path, ["lr"], "alone") == code
+    alone = capsys.readouterr().err
+    assert run(tmp_path, ["lr", "nb"], "forked") == code
+    assert_no_children()
+    assert capsys.readouterr().err == alone
+    assert alone.count("\n") == 1 and "Traceback" not in alone
+
+
+@pytest.mark.parametrize("failing", [("lr", "nb", "arf"), ("nb", "arf"), ("arf",), ("lr", "arf")])
+def test_the_earliest_failing_model_wins(tmp_path, monkeypatch, capsys, failing):
+    failing_models(monkeypatch, {name: PrequentialAbort(3, NonFiniteInput(name)) for name in failing})
+    assert run(tmp_path, MODELS, "o") == 4
+    assert_no_children()
+    assert capsys.readouterr().err == f"error: model error at stream index 3: non-finite {failing[0]}\n"
+
+
+def test_a_killed_child_exits_4_naming_the_model(tmp_path, monkeypatch, capsys):
+    run_model = cli._run_model
+
+    def killed_lr(cfg, name, *args):
+        if name == "lr":
+            os.kill(os.getpid(), signal.SIGKILL)
+        return run_model(cfg, name, *args)
+
+    monkeypatch.setattr(cli, "_run_model", killed_lr)
+    assert run(tmp_path, ["lr", "nb"], "o") == 4
+    assert_no_children()
+    err = capsys.readouterr().err
+    assert err == f"error: model 'lr': its process was killed by signal {int(signal.SIGKILL)} without a result\n"
+
+
+def test_an_unexpected_error_in_a_child_exits_4_naming_the_model(tmp_path, monkeypatch, capsys):
+    failing_models(monkeypatch, {"nb": KeyError("boom")})
+    assert run(tmp_path, ["nb", "lr"], "o") == 4
+    assert_no_children()
+    assert capsys.readouterr().err.splitlines()[-1] == "error: model 'nb': its process exited with code 1 without a result"
+
+
+def test_an_interrupted_parent_kills_and_reaps_its_children(tmp_path, monkeypatch):
+    def slow_children(cfg, name, *args):
+        if name != "arf":
+            time.sleep(60)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_run_model", slow_children)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run(tmp_path, MODELS, "o")
+    assert_no_children()
+    assert time.monotonic() - start < 30
+
+
+def test_duplicate_model_names_are_a_config_error(tmp_path, monkeypatch, capsys):
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert run(tmp_path, ["lr", "nb", "lr"], "o") == 2
+    assert capsys.readouterr().err == "config error: config field 'models': each model may be named only once\n"
+    assert not os.path.exists(tmp_path / "o")

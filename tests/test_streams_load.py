@@ -185,3 +185,53 @@ def test_load_csv_faults_at_chunk_edges(tmp_path, monkeypatch, lines, error):
     else:
         cause, row, field = error
         assert expected[2:] == (row, cause, field)
+
+
+# -- bytes that csv.reader or the UTF-8 decoder cannot read --------------------------
+
+
+def _unreadable(path):
+    with pytest.raises(MalformedRow) as exc:
+        load_csv(str(path))
+    return exc.value.row, str(exc.value)
+
+
+def test_bytes_that_are_not_utf8_are_a_malformed_row(tmp_path):
+    path = tmp_path / "seg.csv"
+    lines = [_HEADER, _row(0), "", _row(1), _row(2, osnr_rx="25.5")]
+    path.write_bytes("\n".join(lines).encode().replace(b"25.5", b"25.\xff"))
+    assert _unreadable(path) == (3, "malformed row 3: bytes that are not UTF-8")
+    path.write_bytes(b"\xff" + "\n".join(lines[:2]).encode())
+    assert _unreadable(path)[0] == 0  # the header
+
+
+def test_a_bad_row_before_an_unreadable_one_still_wins(tmp_path):
+    path = tmp_path / "seg.csv"
+    path.write_bytes("\n".join([_HEADER, _row(0), _row(0), _row(2)]).encode() + b"\xff\n")
+    with pytest.raises(MalformedRow) as exc:
+        load_csv(str(path))
+    assert (exc.value.row, type(exc.value.cause), exc.value.cause.field) == (2, OutOfRange, "timestamp")
+
+
+def test_a_leading_byte_order_mark_is_dropped(tmp_path):
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    text = "\n".join([_HEADER, _row(5), _row(6), _row(9)]) + "\n"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert _outcome(load_csv, str(marked)) == _outcome(load_csv, str(plain))
+    assert [e.timestamp for e in load_csv(str(marked))] == [5, 6, 9]
+    # the file's own timestamps are checked, not replaced by row indices
+    marked.write_text("\n".join([_HEADER, _row(5), _row(5)]), encoding="utf-8-sig")
+    with pytest.raises(MalformedRow) as exc:
+        load_csv(str(marked))
+    assert (exc.value.row, exc.value.cause.field) == (2, "timestamp")
+
+
+def test_a_field_over_the_csv_size_limit_is_a_malformed_row(tmp_path):
+    # an unclosed quote on row 2 swallows the rest of a long file into one field
+    path = tmp_path / "seg.csv"
+    rows = [_row(0), '"' + _row(1)] + [_row(i) for i in range(2, 5000)]
+    path.write_text("\n".join([_HEADER, *rows]) + "\n")
+    row, message = _unreadable(path)
+    assert row == 2 and "field larger than field limit" in message
