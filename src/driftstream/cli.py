@@ -8,6 +8,8 @@ outputs so a run can be reproduced from the manifest alone.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import gc
 import json
 import os
 import pickle
@@ -114,24 +116,44 @@ def _load_segments(cfg: ExperimentConfig):
     return sfd, hfd
 
 
+@contextlib.contextmanager
+def _collector_paused():
+    """Turn the cyclic garbage collector off, and back to the caller's state on leaving.
+
+    Building or writing a stream allocates a few objects per event, and
+    none of them forms a reference cycle, so the collections their
+    allocations trigger find nothing to free; reference counting frees
+    them. Only that work is paused: model code and the timed latency
+    trials run with the collector as the caller left it.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _assemble(cfg: ExperimentConfig):
     """Segments -> (pretrain, stream, merged, boundary index).
 
     Oversampled failure copies are appended to the hard-failure segment
     before merging, so they arrive after all organic events.
     """
-    sfd, hfd = _load_segments(cfg)
-    if len(hfd) == 0:
-        field = "stream.synth.n_hfd" if cfg.stream.mode == "synth" else "stream.hfd_path"
-        raise ConfigError(field, "the streamed segment is empty")
-    if cfg.oversample is not None:
-        hfd = random_oversample(
-            hfd,
-            cfg.oversample.target_failure_ratio,
-            seed=named_seed(cfg.seed, "oversample"),
-            target_failure_count=cfg.oversample.target_failure_count,
-        )
-    merged = merge_sfd_hfd(sfd, hfd)
+    with _collector_paused():
+        sfd, hfd = _load_segments(cfg)
+        if len(hfd) == 0:
+            field = "stream.synth.n_hfd" if cfg.stream.mode == "synth" else "stream.hfd_path"
+            raise ConfigError(field, "the streamed segment is empty")
+        if cfg.oversample is not None:
+            hfd = random_oversample(
+                hfd,
+                cfg.oversample.target_failure_ratio,
+                seed=named_seed(cfg.seed, "oversample"),
+                target_failure_count=cfg.oversample.target_failure_count,
+            )
+        merged = merge_sfd_hfd(sfd, hfd)
     boundary = len(sfd)
     return merged[:boundary], merged[boundary:], merged, boundary
 
@@ -189,7 +211,7 @@ def _run_model(cfg: ExperimentConfig, name: str, pretrain, stream, save_models: 
 
 
 class _ForkedFailure(DriftStreamError):
-    """A failure that a model's process already mapped to main's exit code and stderr line."""
+    """A failure that a forked process already mapped to main's exit code and stderr line."""
 
     def __init__(self, code: int, line: str):
         super().__init__(line)
@@ -255,14 +277,18 @@ def _fork(call, *args):
         os._exit(code)
 
 
-def _run_forked(names: list, run) -> dict:
+def _run_forked(kind: str, names: list, run) -> dict:
     """``{name: run(name)}``, with each call but the last in its own forked process.
 
     The parent makes the last call itself, then reads and reaps the
     children in order. Once all are reaped, the error of the earliest name
     that failed is raised, as a serial run would raise it. A child that
-    ends without a result is a DriftStreamError naming it.
+    ends without a result is a DriftStreamError naming the ``kind`` of
+    work and its name. Without ``os.fork`` every call is made in order in
+    this process.
     """
+    if not hasattr(os, "fork"):
+        return {name: run(name) for name in names}
     *forked, last = names
     children, entries, failures = {}, {}, {}
     try:
@@ -280,7 +306,7 @@ def _run_forked(names: list, run) -> dict:
             del children[name]
             if code != 0:
                 how = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
-                failures[name] = DriftStreamError(f"model {name!r}: its process {how} without a result")
+                failures[name] = DriftStreamError(f"{kind} {name!r}: its process {how} without a result")
             elif (message := pickle.loads(data))[0] == "ok":
                 entries[name] = message[1]
             else:
@@ -307,14 +333,7 @@ def cmd_run(cfg: ExperimentConfig, args: argparse.Namespace) -> None:
     drift_events = _detect_drifts(cfg, merged)
     os.makedirs(cfg.out_dir, exist_ok=True)
     write_drift_csv(drift_events, os.path.join(cfg.out_dir, "drift_events.csv"))
-
-    def run(name):
-        return _run_model(cfg, name, pretrain, stream, args.save_models)
-
-    if hasattr(os, "fork"):
-        entries = _run_forked(cfg.models, run)
-    else:
-        entries = {name: run(name) for name in cfg.models}
+    entries = _run_forked("model", cfg.models, lambda name: _run_model(cfg, name, pretrain, stream, args.save_models))
     summary = {
         "window": cfg.window,
         "seed": cfg.seed,
@@ -363,20 +382,27 @@ def cmd_bench(cfg: ExperimentConfig, args: argparse.Namespace) -> None:
 
 
 def cmd_gen(cfg: ExperimentConfig, args: argparse.Namespace) -> None:
+    """Write the two synthetic segments; with ``os.fork``, sfd.csv in a child process.
+
+    The files are independent, so on a host with more than one core they
+    are written side by side. The bytes, stderr line and exit code are
+    those of a serial write; when both fail, the sfd error is reported.
+    """
     if cfg.stream.mode != "synth":
         raise ConfigError("stream.mode", "gen requires synth mode")
-    sfd, hfd = _load_segments(cfg)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    sfd_path = os.path.join(cfg.out_dir, "sfd.csv")
-    hfd_path = os.path.join(cfg.out_dir, "hfd.csv")
-    write_csv(sfd, sfd_path)
-    write_csv(hfd, hfd_path)
+    paths = {name: os.path.join(cfg.out_dir, f"{name}.csv") for name in ("sfd", "hfd")}
+    with _collector_paused():
+        segments = dict(zip(paths, _load_segments(cfg)))
+        os.makedirs(cfg.out_dir, exist_ok=True)
+        _run_forked("segment", list(paths), lambda name: write_csv(segments[name], paths[name]))
+        counts = {name: len(events) for name, events in segments.items()}
+        del segments  # freed while paused, so that no collection walks them once it ends
     if not args.quiet:
         payload = {
-            "sfd_path": sfd_path,
-            "sfd_events": len(sfd),
-            "hfd_path": hfd_path,
-            "hfd_events": len(hfd),
+            "sfd_path": paths["sfd"],
+            "sfd_events": counts["sfd"],
+            "hfd_path": paths["hfd"],
+            "hfd_events": counts["hfd"],
         }
         print(json.dumps(payload, sort_keys=True))
 
