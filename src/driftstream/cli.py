@@ -18,7 +18,7 @@ import sys
 import traceback
 
 from . import __version__
-from .config import ExperimentConfig, load_config, named_seed
+from .config import VALID_FORMATS, VALID_MODELS, ExperimentConfig, load_config, named_seed
 from .drift import Direction, detect_drifts_per_class, write_drift_csv
 from .errors import ConfigError, DriftStreamError
 from .models import save_model
@@ -51,8 +51,8 @@ _FLAGS = {
     "--seed": {"type": int, "help": "root RNG seed (unsigned 64-bit)"},
     "--out": {"help": "output directory"},
     "--quiet": {"action": "store_true", "help": "suppress the stdout summary"},
-    "--format": {"choices": ("csv", "json"), "help": "metric series format"},
-    "--models": {"help": "comma-separated subset of lr,nb,arf"},
+    "--format": {"choices": VALID_FORMATS, "help": "metric series format"},
+    "--models": {"help": f"comma-separated subset of {','.join(VALID_MODELS)}"},
     "--window": {"type": int, "help": "rolling metric window size"},
     "--save-models": {"action": "store_true", "help": "write versioned model snapshots next to the reports"},
     "--trials": {"type": int, "help": "latency benchmark trials"},

@@ -111,11 +111,14 @@ class ExperimentConfig:
             ("pht.direction", pht.direction in VALID_DIRECTIONS, f"unknown direction {pht.direction!r}"),
             ("pht.delta", pht.delta >= 0.0, "must be >= 0"),
             ("pht.threshold", pht.threshold > 0.0, "must be > 0"),
+            ("pht.min_instances", pht.min_instances >= 0, "must be >= 0"),
+            ("lr.learning_rate", self.lr.learning_rate > 0.0, "must be > 0"),
             ("nb.min_variance", self.nb.min_variance > 0.0, "must be > 0"),
             ("arf.n_trees", arf.n_trees >= 1, "must be >= 1"),
             ("arf.max_features", arf.max_features >= 1, "must be >= 1"),
             # numpy's Poisson sampler rejects rates above about 9.2e18
             ("arf.lambda_bag", 0.0 <= arf.lambda_bag <= 1e18, "must be in [0, 1e18]"),
+            ("arf.grace_period", arf.grace_period >= 1, "must be >= 1"),
             ("arf.split_confidence", 0.0 < arf.split_confidence < 1.0, "must be in (0, 1)"),
             ("arf.n_split_candidates", arf.n_split_candidates >= 1, "must be >= 1"),
             ("arf.warn_threshold", arf.warn_threshold > 0.0, "must be > 0"),

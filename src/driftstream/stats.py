@@ -36,10 +36,6 @@ class RunningStats:
         # guard against tiny negative values from cancellation
         return max(self._m2 / self.n, 0.0)
 
-    @property
-    def stddev(self) -> float:
-        return math.sqrt(self.variance)
-
     def to_state(self) -> list[float]:
         return [self.n, self.mean, self._m2]
 

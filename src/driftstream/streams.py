@@ -195,12 +195,14 @@ def load_csv(
     short row's missing cells are None, extra cells are dropped and a
     repeated column keeps its last cell.
 
-    The file is read as UTF-8, and a leading byte-order mark is dropped.
-    A row that cannot be read (bytes that are not UTF-8, or a field over
-    ``csv.field_size_limit()``, as an unclosed quote gives) is a
-    MalformedRow too, with the header counted as row 0. The file is then
-    read a second time to name that row, so a bad row before it still
-    wins (see ``_readable_rows``).
+    The file is read once, as UTF-8 with a leading byte-order mark dropped.
+    A row that cannot be read is a MalformedRow too, with the header
+    counted as row 0, and a bad row before it still wins:
+    - bytes that are not UTF-8 are read as escapes and caught on the header
+      and per row in ``_validate_rows``; the column path's ``float``,
+      ``int`` and label lookups reject them, so their chunk goes there;
+    - a field over ``csv.field_size_limit()``, as an unclosed quote gives,
+      stops the reader, after the rows read before it are checked.
 
     Rows are read in chunks of ``_CHUNK_ROWS``. When the mapped header
     names only canonical columns, each once and every required one, a
@@ -209,71 +211,54 @@ def load_csv(
     step is validated again row by row through ``validate``, which alone
     defines a valid row and names the error.
     """
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            return _read_events(csv.reader(fh), column_map, default_segment)
-    except (UnicodeDecodeError, csv.Error):
-        pass
-    unreadable: list[MalformedRow] = []
     with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
-        events = _read_events(_readable_rows(csv.reader(fh), unreadable), column_map, default_segment)
-    if unreadable:
-        raise unreadable[0]
-    return events  # the file changed between the two reads
+        return _read_events(csv.reader(fh), column_map, default_segment)
 
 
 # the code points that errors="surrogateescape" gives undecodable bytes
 _UNDECODED = re.compile("[\udc80-\udcff]")
 
 
-def _readable_rows(reader, unreadable: list):
-    """``reader``'s rows up to the first one that cannot be read.
-
-    That row's MalformedRow is appended to ``unreadable`` instead of raised,
-    so that the rows before it are still validated and a bad one among
-    them raises first. Rows are numbered as load_csv numbers them.
-    """
-    row_number = -1
-    while True:
-        try:
-            row = next(reader)
-        except StopIteration:
-            return
-        except csv.Error as err:
-            unreadable.append(MalformedRow(row_number + 1, DriftStreamError(f"unreadable CSV: {err}")))
-            return
-        if row or row_number < 0:  # the first row is the header, even when blank
-            row_number += 1
-        if _UNDECODED.search("".join(row)):
-            unreadable.append(MalformedRow(row_number, DriftStreamError("bytes that are not UTF-8")))
-            return
-        yield row
+def _unreadable(row_number: int, err: csv.Error) -> MalformedRow:
+    return MalformedRow(row_number, DriftStreamError(f"unreadable CSV: {err}"))
 
 
 def _read_events(reader, column_map: Optional[dict], default_segment: Segment) -> list[TelemetryEvent]:
     """The events of the header row and data rows that ``reader`` yields."""
     events: list[TelemetryEvent] = []
-    header = next(reader, None)
+    try:
+        header = next(reader, None)
+    except csv.Error as err:
+        raise _unreadable(0, err) from None
     if header is None:
         return events
+    if _UNDECODED.search("".join(header)):
+        raise MalformedRow(0, DriftStreamError("bytes that are not UTF-8"))
     names = [column_map.get(key, key) for key in header] if column_map else header
     positions = {name: i for i, name in enumerate(names)}
     if len(positions) < len(names) or not _REQUIRED_KEYS <= positions.keys() <= _CANONICAL_KEYS:
         positions = None
     prev_ts = None
     row_number = 0
-    while chunk := list(islice(reader, _CHUNK_ROWS)):
-        rows = list(filter(None, chunk))  # blank lines are skipped and not counted
-        if not rows:
-            continue
-        parsed = _chunk_events(rows, positions, row_number, prev_ts, default_segment) if positions else None
-        if parsed is None:
-            _validate_rows(rows, names, row_number, prev_ts, default_segment, events)
-        else:
-            events.extend(parsed)
-        row_number += len(rows)
-        prev_ts = events[-1].timestamp
-    return events
+    while True:
+        chunk: list[list[str]] = []
+        error = None
+        try:
+            chunk.extend(islice(reader, _CHUNK_ROWS))
+        except csv.Error as err:  # extend keeps the rows read before it
+            error = err
+        if rows := list(filter(None, chunk)):  # blank lines are skipped and not counted
+            parsed = _chunk_events(rows, positions, row_number, prev_ts, default_segment) if positions else None
+            if parsed is None:
+                _validate_rows(rows, names, row_number, prev_ts, default_segment, events)
+            else:
+                events.extend(parsed)
+            row_number += len(rows)
+            prev_ts = events[-1].timestamp
+        if error is not None:
+            raise _unreadable(row_number + 1, error)
+        if not chunk:
+            return events
 
 
 def _chunk_events(
@@ -335,6 +320,8 @@ def _validate_rows(
     n_names = len(names)
     for row in rows:
         row_number += 1
+        if _UNDECODED.search("".join(row)):
+            raise MalformedRow(row_number, DriftStreamError("bytes that are not UTF-8"))
         record = dict(zip(names, row))
         if len(row) < n_names:
             record.update(dict.fromkeys(names[len(row):]))

@@ -284,6 +284,11 @@ def test_config_section_shape_exit_codes(tmp_path, config, code):
         ({"pht": {"threshold": 0}}, "pht.threshold"),
         ({"pht": {"delta": -0.1}}, "pht.delta"),
         ({"nb": {"min_variance": 0}}, "nb.min_variance"),
+        ({"lr": {"learning_rate": -1.0}}, "lr.learning_rate"),
+        ({"lr": {"learning_rate": 0.0}}, "lr.learning_rate"),
+        ({"arf": {"grace_period": 0}}, "arf.grace_period"),
+        ({"arf": {"grace_period": -3}}, "arf.grace_period"),
+        ({"pht": {"min_instances": -1}}, "pht.min_instances"),
         ({"window": 10**30}, "window"),
         ({"stream": {"synth": {"n_sfd": 10**30}}}, "stream.synth.n_sfd"),
         ({"stream": {"synth": {"n_hfd": 10**30}}}, "stream.synth.n_hfd"),

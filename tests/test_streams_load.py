@@ -1,12 +1,15 @@
-"""load_csv's column path against the per-row loop it replaced.
+"""load_csv against the loaders it replaced.
 
 ``_load_csv_per_row`` is load_csv as it was before rows were read in
-chunks: one record dict and one ``validate`` call per row. load_csv must
-return the same events bit for bit, or raise the same error for the same
-row, for any chunk size.
+chunks: one record dict and one ``validate`` call per row.
+``_load_csv_two_pass`` is load_csv as it was before it read each file
+once: a strict UTF-8 read, then on a row it could not read a second read
+that named that row. load_csv must return the same events bit for bit, or
+raise the same error for the same row, for any chunk size.
 """
 
 import csv
+import re
 from typing import Optional
 
 import pytest
@@ -19,34 +22,75 @@ from driftstream.streams import load_csv
 from driftstream.telemetry import CSV_COLUMNS, Segment, validate
 
 
+def _events_per_row(reader, column_map: Optional[dict], default_segment: Segment) -> list:
+    events = []
+    header = next(reader, None)
+    if header is None:
+        return events
+    names = [column_map.get(key, key) for key in header] if column_map else header
+    n_names = len(names)
+    prev_ts = None
+    row_number = 0
+    for row in reader:
+        if not row:
+            continue
+        row_number += 1
+        record = dict(zip(names, row))
+        if len(row) < n_names:
+            record.update(dict.fromkeys(names[len(row):]))
+        try:
+            event = validate(record, index=row_number - 1, segment=default_segment)
+        except DriftStreamError as err:
+            raise MalformedRow(row_number, err) from err
+        if prev_ts is not None and event.timestamp <= prev_ts:
+            raise MalformedRow(row_number, OutOfRange("timestamp", event.timestamp))
+        prev_ts = event.timestamp
+        events.append(event)
+    return events
+
+
 def _load_csv_per_row(
     path: str, *, column_map: Optional[dict] = None, default_segment: Segment = Segment.SFD
 ) -> list:
-    events = []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            return events
-        names = [column_map.get(key, key) for key in header] if column_map else header
-        n_names = len(names)
-        prev_ts = None
-        row_number = 0
-        for row in reader:
-            if not row:
-                continue
+        return _events_per_row(csv.reader(fh), column_map, default_segment)
+
+
+_UNDECODED = re.compile("[\udc80-\udcff]")
+
+
+def _readable_rows(reader, unreadable: list):
+    """``reader``'s rows up to the first one that cannot be read, whose MalformedRow goes to ``unreadable``."""
+    row_number = -1
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as err:
+            unreadable.append(MalformedRow(row_number + 1, DriftStreamError(f"unreadable CSV: {err}")))
+            return
+        if row or row_number < 0:  # the first row is the header, even when blank
             row_number += 1
-            record = dict(zip(names, row))
-            if len(row) < n_names:
-                record.update(dict.fromkeys(names[len(row):]))
-            try:
-                event = validate(record, index=row_number - 1, segment=default_segment)
-            except DriftStreamError as err:
-                raise MalformedRow(row_number, err) from err
-            if prev_ts is not None and event.timestamp <= prev_ts:
-                raise MalformedRow(row_number, OutOfRange("timestamp", event.timestamp))
-            prev_ts = event.timestamp
-            events.append(event)
+        if _UNDECODED.search("".join(row)):
+            unreadable.append(MalformedRow(row_number, DriftStreamError("bytes that are not UTF-8")))
+            return
+        yield row
+
+
+def _load_csv_two_pass(
+    path: str, *, column_map: Optional[dict] = None, default_segment: Segment = Segment.SFD
+) -> list:
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            return _events_per_row(csv.reader(fh), column_map, default_segment)
+    except (UnicodeDecodeError, csv.Error):
+        pass
+    unreadable: list[MalformedRow] = []
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
+        events = _events_per_row(_readable_rows(csv.reader(fh), unreadable), column_map, default_segment)
+    if unreadable:
+        raise unreadable[0]
     return events
 
 
@@ -55,7 +99,7 @@ def _outcome(load, path, **kwargs):
     try:
         events = load(path, **kwargs)
     except MalformedRow as err:
-        return ("error", str(err), err.row, type(err.cause), err.cause.field)
+        return ("error", str(err), err.row, type(err.cause), getattr(err.cause, "field", None))
     return [
         (
             type(e.timestamp), e.timestamp, *(v.hex() for v in (e.ber_tx, e.osnr_tx, e.ber_rx, e.osnr_rx)),
@@ -235,3 +279,82 @@ def test_a_field_over_the_csv_size_limit_is_a_malformed_row(tmp_path):
     path.write_text("\n".join([_HEADER, *rows]) + "\n")
     row, message = _unreadable(path)
     assert row == 2 and "field larger than field limit" in message
+
+
+def test_load_csv_opens_a_file_once_on_every_path(tmp_path, monkeypatch):
+    opened = []
+
+    def counting_open(*args, **kwargs):
+        opened.append(args[0])
+        return open(*args, **kwargs)
+
+    monkeypatch.setattr(streams, "open", counting_open, raising=False)
+    text = "\n".join([_HEADER, _row(0), _row(1), _row(2, osnr_rx="25.5")]) + "\n"
+    files = {
+        "valid": text.encode(),
+        "not_utf8": text.encode().replace(b"25.5", b"25.\xff"),
+        "header_not_utf8": b"\xff" + text.encode(),
+        "unreadable": text.encode() + b'"' + b"9" * 140_000 + b"\n",
+    }
+    for name, data in files.items():
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(data)
+        expected = _outcome(_load_csv_two_pass, str(path))
+        assert _outcome(load_csv, str(path)) == expected, name
+    assert opened == [str(tmp_path / f"{name}.csv") for name in files]
+
+
+# Each example edits a 12-row file of about 500 bytes; at most three edits apply, the
+# largest a 140,000-character field (just over csv.field_size_limit()).
+_HEADERS = {
+    "canonical": (list(CSV_COLUMNS), None),
+    "metadata": ([*CSV_COLUMNS[:3], "site", *CSV_COLUMNS[3:]], None),
+    "column_map": (["OSNR_SPO2" if name == "osnr_rx" else name for name in CSV_COLUMNS], {"OSNR_SPO2": "osnr_rx"}),
+    "no_timestamp": ([name for name in CSV_COLUMNS if name != "timestamp"], None),
+}
+
+
+def _segment_bytes(header: list) -> bytes:
+    cells = {"ber_tx": "1e-9", "osnr_tx": "32.0", "ber_rx": "1e-6", "osnr_rx": "25.25", "site": "A", "segment": "HFD"}
+    lines = [",".join(header)]
+    for ts in range(12):
+        row = {**cells, "timestamp": str(3 * ts), "OSNR_SPO2": f"2{ts}.5", "label": str(ts % 2)}
+        lines.append(",".join(row[name] for name in header))
+    return ("\n".join(lines) + "\n").encode()
+
+
+@st.composite
+def _edited_segment(draw):
+    """(bytes, column_map): a valid segment file under up to three byte-level edits."""
+    header, column_map = _HEADERS[draw(st.sampled_from(sorted(_HEADERS)))]
+    data = _segment_bytes(header)
+    for edit in draw(st.lists(st.sampled_from(["truncate", "bom", "insert", "insert", "field", "cr"]), max_size=3)):
+        at = draw(st.integers(0, len(data)))
+        if edit == "truncate":
+            data = data[:at]
+        elif edit == "bom":
+            data = b"\xef\xbb\xbf" + data
+        elif edit == "insert":
+            data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\x00", b'"', b"\r"])) + data[at:]
+        elif edit == "field":
+            data = data[:at] + b"9" * 140_000 + data[at:]
+        else:
+            data = data.replace(b"\n", b"\r")
+    return data, column_map
+
+
+@settings(max_examples=300, deadline=None)
+@given(_edited_segment(), st.sampled_from(list(Segment)))
+def test_load_csv_equals_the_two_pass_read_for_any_byte_edit(tmp_path_factory, file, default_segment):
+    data, column_map = file
+    path = tmp_path_factory.mktemp("bytes") / "seg.csv"
+    path.write_bytes(data)
+    kwargs = {"column_map": column_map, "default_segment": default_segment}
+    expected = _outcome(_load_csv_two_pass, str(path), **kwargs)
+    default = streams._CHUNK_ROWS
+    try:
+        for size in _CHUNK_SIZES:
+            streams._CHUNK_ROWS = size
+            assert _outcome(load_csv, str(path), **kwargs) == expected, size
+    finally:
+        streams._CHUNK_ROWS = default
