@@ -16,7 +16,9 @@ its pass count and wall time, and writes ``BENCH_8.json``.
 
 prints one row per committed ``BENCH_<n>.json`` instead, oldest measured
 commit first: each workload's ``wall_s``, the Tier-1 time and the line count
-of ``src/``, so that speed and size read side by side.
+of ``src/``, so that speed and size read side by side. A commit printed as
+``<sha7>+`` means that ``src/`` held uncommitted changes on top of it when the
+snapshot was taken (the file's ``src_uncommitted`` field).
 """
 
 from __future__ import annotations
@@ -91,12 +93,20 @@ def src_sha256(root: str) -> str:
     return digest.hexdigest()
 
 
+def src_uncommitted(root: str) -> bool:
+    """True when ``git status`` lists a change under src/: the reports' ``git_commit`` is then the parent
+    of the measured tree, not the tree itself. False outside a git checkout."""
+    proc = subprocess.run(["git", "status", "--porcelain", "--", "src"], cwd=root, capture_output=True, text=True)
+    return proc.returncode == 0 and proc.stdout.strip() != ""
+
+
 def snapshot(root: str, tier1: dict) -> dict:
     workloads = {}
     for name in WORKLOADS:
         with open(os.path.join(root, ".perfbench", name, "report.json"), encoding="utf-8") as fh:
             workloads[name] = workload_entry(json.load(fh))
-    return {"src_sha256": src_sha256(root), "tier1": tier1, "workloads": workloads}
+    return {"src_sha256": src_sha256(root), "src_uncommitted": src_uncommitted(root), "tier1": tier1,
+            "workloads": workloads}
 
 
 def commit_order(root: str) -> dict:
@@ -116,13 +126,16 @@ def trajectory(root: str, order: dict) -> list[dict]:
             data = json.load(fh)
         workloads = data["workloads"]
         first = next(iter(workloads.values()))
-        rows.append({
+        row = {
             "n": int(match.group(1)),
             "commit": first["git_commit"],
             "wall_s": {w: workloads[w]["metrics"]["wall_s"] for w in WORKLOADS if w in workloads},
             "tier1_s": data["tier1"]["seconds"],
             "src_lines": first["src_lines"],
-        })
+        }
+        if data.get("src_uncommitted"):  # files written before the field existed leave it out
+            row["uncommitted"] = True
+        rows.append(row)
     rows.sort(key=lambda row: (order.get(row["commit"], float("inf")), row["n"]))
     return rows
 
@@ -130,7 +143,7 @@ def trajectory(root: str, order: dict) -> list[dict]:
 def format_trajectory(rows: list[dict]) -> str:
     header = ["bench", "commit", *(f"{w} s" for w in WORKLOADS), "tier1 s", "src lines"]
     table = [header] + [
-        [f"BENCH_{row['n']}", row["commit"][:7],
+        [f"BENCH_{row['n']}", row["commit"][:7] + ("+" if row.get("uncommitted") else ""),
          *(f"{row['wall_s'][w]:.3f}" if w in row["wall_s"] else "-" for w in WORKLOADS),
          f"{row['tier1_s']:.1f}", str(row["src_lines"])]
         for row in rows

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import subprocess
 
 import pytest
 
@@ -93,3 +94,50 @@ def test_trajectory_without_git_orders_by_number(tmp_path):
     _bench_file(tmp_path, 9, "c" * 40, (1.0, 1.0, 1.0), 1.0, 1)
     assert bench_snapshot.commit_order(str(tmp_path)) == {}
     assert [row["n"] for row in bench_snapshot.trajectory(str(tmp_path), {})] == [9, 10]
+
+
+def _git(root, *args):
+    subprocess.run(["git", "-c", "user.name=bench", "-c", "user.email=bench@example.invalid", *args],
+                   cwd=root, check=True, capture_output=True)
+
+
+def test_snapshot_records_whether_src_had_uncommitted_changes(tmp_path):
+    assert bench_snapshot.src_uncommitted(str(tmp_path)) is False  # not a git checkout
+    source = tmp_path / "src" / "driftstream" / "a.py"
+    source.parent.mkdir(parents=True)
+    source.write_text("x = 1\n")
+    _git(tmp_path, "init", "-q")
+    _git(tmp_path, "add", "-A")
+    _git(tmp_path, "commit", "-q", "-m", "seed")
+    (tmp_path / "BENCH_1.json").write_text("{}")  # a change outside src/ does not count
+    assert bench_snapshot.src_uncommitted(str(tmp_path)) is False
+    source.write_text("x = 2\n")
+    assert bench_snapshot.src_uncommitted(str(tmp_path)) is True
+    source.unlink()
+    assert bench_snapshot.src_uncommitted(str(tmp_path)) is True
+    _git(tmp_path, "checkout", "-q", "--", "src")
+    (tmp_path / "src" / "driftstream" / "b.py").write_text("y = 1\n")  # an untracked file counts
+    assert bench_snapshot.src_uncommitted(str(tmp_path)) is True
+
+
+def test_snapshot_stores_the_uncommitted_flag(tmp_path, monkeypatch):
+    monkeypatch.setattr(bench_snapshot, "workload_entry", lambda report: {})
+    for name in bench_snapshot.WORKLOADS:
+        (tmp_path / ".perfbench" / name).mkdir(parents=True)
+        (tmp_path / ".perfbench" / name / "report.json").write_text("{}")
+    for flag in (True, False):
+        monkeypatch.setattr(bench_snapshot, "src_uncommitted", lambda root: flag)
+        assert bench_snapshot.snapshot(str(tmp_path), {})["src_uncommitted"] is flag
+
+
+def test_trajectory_marks_a_commit_measured_with_uncommitted_changes(tmp_path):
+    for n, flag in ((1, True), (2, False), (3, None)):
+        _bench_file(tmp_path, n, f"{n}" * 40, (1.0, 1.0, 1.0), 1.0, 1)
+        if flag is not None:
+            path = tmp_path / f"BENCH_{n}.json"
+            path.write_text(json.dumps({**json.loads(path.read_text()), "src_uncommitted": flag}))
+    rows = bench_snapshot.trajectory(str(tmp_path), {})
+    assert [row.get("uncommitted", False) for row in rows] == [True, False, False]
+    lines = bench_snapshot.format_trajectory(rows).splitlines()
+    assert [line.split()[1] for line in lines[1:]] == ["1111111+", "2222222", "3333333"]
+    assert len({len(line) for line in lines}) == 1

@@ -350,24 +350,27 @@ def test_bench_pretrains_like_run(tmp_path, monkeypatch):
         {"models": ["lr", "nb", "arf"], "epochs": 2, "bench": {"trials": 1, "events_per_trial": 5, "warmup_trials": 0}},
     )
     pretrained = {"run": {}, "bench": {}}
-    # run's models may train in child processes, so the recorder writes files
-    recorded = tmp_path / "pretrained"
-    recorded.mkdir()
+    # run's and bench's models may train in child processes, so the recorders write files
+    recorded = {command: tmp_path / f"pretrained_{command}" for command in pretrained}
+    for path in recorded.values():
+        path.mkdir()
 
     def record_static_arm(static_model, online_model, *args, **kwargs):
         report = prequential_run(static_model, online_model, *args, **kwargs)
-        (recorded / type(static_model).__name__).write_text(snapshot_json(static_model))
+        (recorded["run"] / type(static_model).__name__).write_text(snapshot_json(static_model))
         return report
 
     def record_timed_models(models, *args, **kwargs):
-        pretrained["bench"].update((type(m).__name__, snapshot_json(m)) for m in models.values())
+        for m in models.values():
+            (recorded["bench"] / type(m).__name__).write_text(snapshot_json(m))
         return latency_benchmark(models, *args, **kwargs)
 
     monkeypatch.setattr(cli, "prequential_run", record_static_arm)
     monkeypatch.setattr(cli, "latency_benchmark", record_timed_models)
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "r"), "--quiet"]) == 0
-    pretrained["run"] = {path.name: path.read_text() for path in recorded.iterdir()}
+    pretrained["run"] = {path.name: path.read_text() for path in recorded["run"].iterdir()}
     assert main(["bench", "--config", cfg, "--out", str(tmp_path / "b"), "--quiet"]) == 0
+    pretrained["bench"] = {path.name: path.read_text() for path in recorded["bench"].iterdir()}
     assert set(pretrained["bench"]) == {"LogisticRegression", "GaussianNB", "AdaptiveRandomForest"}
     for name, state in pretrained["bench"].items():
         assert state == pretrained["run"][name], name
