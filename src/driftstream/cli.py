@@ -2,7 +2,10 @@
 
 Every command resolves one ExperimentConfig (JSON file plus flag overrides),
 derives all randomness from the root seed, and writes a manifest next to its
-outputs so a run can be reproduced from the manifest alone.
+outputs so a run can be reproduced from the manifest alone. ``run``,
+``bench`` and ``gen`` split their work by one rule, ``_run_forked``: on a
+host with ``os.fork`` and two usable CPUs, every model (or file) but the
+last goes to one forked child, and the last stays in this process.
 """
 
 from __future__ import annotations
@@ -235,18 +238,33 @@ def _exit_status(err: BaseException):
     return None
 
 
-def _fork(call, *args):
-    """Start ``call(*args)`` in a child process; return its pid and a file that reads its result.
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
-    The child sends back ``("ok", result)`` or ``("failed", exit code, stderr
-    line)``, since not every exception survives pickling. An error that main
-    would not map prints its traceback and sends nothing. The child always
-    leaves through ``os._exit``, so it never returns into the caller's stack,
-    and it exits 0 only once its message is written. A fork, unlike a fresh
-    interpreter, inherits the built streams without a copy; the package
-    starts no threads, and numpy's BLAS pool shuts down across a fork
-    through its own fork handler.
+
+def _run_forked(kind: str, names: list, run) -> dict:
+    """``run(names)``, a dict keyed by name; with ``os.fork`` and two usable CPUs, in two processes.
+
+    Then ``run(names[:-1])`` runs in one forked child while the parent makes
+    the ``run(names[-1:])`` call, so no more processes than cores do the
+    work; otherwise ``run(names)`` is made in this process. The child sends
+    back ``("ok", result)`` or ``("failed", exit code, stderr line)``, since
+    not every exception survives pickling; an error that main would not map
+    prints its traceback and sends nothing. The child always leaves through
+    ``os._exit``, so it never returns into the caller's stack, and it exits
+    0 only once its message is written. A child that ends without a result
+    is a DriftStreamError naming the ``kind`` of work and its names. Its
+    error wins over the parent's, since its names come first. A fork, unlike
+    a fresh interpreter, inherits the built streams without a copy; the
+    package starts no threads, and numpy's BLAS pool shuts down across a
+    fork through its own fork handler.
     """
+    if len(names) < 2 or not hasattr(os, "fork") or _usable_cpus() < 2:
+        return run(names)
+    forked = names[:-1]
     read_fd, write_fd = os.pipe()
     sys.stdout.flush()  # so that the child holds no copy of unwritten output
     sys.stderr.flush()
@@ -256,88 +274,68 @@ def _fork(call, *args):
         os.close(read_fd)
         os.close(write_fd)
         raise
-    if pid:
-        os.close(write_fd)
-        return pid, os.fdopen(read_fd, "rb")
-    code = 1
-    try:
-        os.close(read_fd)
+    if not pid:
+        code = 1
         try:
-            message = ("ok", call(*args))
-        except BaseException as err:
-            status = _exit_status(err)
-            if status is None:
-                traceback.print_exc()
-                sys.stderr.flush()
+            os.close(read_fd)
+            try:
+                message = ("ok", run(forked))
+            except KeyboardInterrupt:  # the parent is interrupted too and prints the one traceback
                 raise
-            message = ("failed", *status)
-        with os.fdopen(write_fd, "wb") as fh:
-            pickle.dump(message, fh)
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _run_forked(kind: str, names: list, run) -> dict:
-    """``{name: run(name)}``, with each call but the last in its own forked process.
-
-    The parent makes the last call itself, then reads and reaps the
-    children in order. Once all are reaped, the error of the earliest name
-    that failed is raised, as a serial run would raise it. A child that
-    ends without a result is a DriftStreamError naming the ``kind`` of
-    work and its name. Without ``os.fork`` every call is made in order in
-    this process.
-    """
-    if not hasattr(os, "fork"):
-        return {name: run(name) for name in names}
-    *forked, last = names
-    children, entries, failures = {}, {}, {}
+            except BaseException as err:
+                status = _exit_status(err)
+                if status is None:
+                    traceback.print_exc()
+                    sys.stderr.flush()
+                    raise
+                message = ("failed", *status)
+            with os.fdopen(write_fd, "wb") as fh:
+                pickle.dump(message, fh)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
     try:
-        for name in forked:
-            children[name] = _fork(run, name)
-        try:
-            entries[last] = run(last)
-        except Exception as err:
-            failures[last] = err
-        for name in forked:
-            pid, result = children[name]
-            with result:
-                try:
-                    message = pickle.load(result)
-                except (EOFError, pickle.UnpicklingError):  # cut short or never sent: the exit status says why
-                    message = None
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del children[name]
-            if code != 0:
-                how = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
-                failures[name] = DriftStreamError(f"{kind} {name!r}: its process {how} without a result")
-            elif message[0] == "ok":
-                entries[name] = message[1]
-            else:
-                failures[name] = _ForkedFailure(*message[1:])
+        with os.fdopen(read_fd, "rb") as result:
+            try:
+                entries, error = run(names[-1:]), None
+            except Exception as err:
+                entries, error = {}, err
+            try:
+                message = pickle.load(result)
+            except (EOFError, pickle.UnpicklingError):  # cut short or never sent: the exit status says why
+                message = None
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        pid = None
     finally:
-        for pid, result in children.values():  # left only when the parent itself was interrupted
-            result.close()
+        if pid is not None:  # the parent itself was interrupted
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    for name in names:
-        if name in failures:
-            raise failures[name]
-    return entries
+    if code != 0:
+        how = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
+        group = f"{kind} {forked[0]!r}" if len(forked) == 1 else f"{kind}s {','.join(forked)!r}"
+        raise DriftStreamError(f"{group}: its process {how} without a result")
+    if message[0] != "ok":
+        raise _ForkedFailure(*message[1:])
+    if error is not None:
+        raise error
+    return {**message[1], **entries}
 
 
 def cmd_run(cfg: ExperimentConfig, args: argparse.Namespace) -> None:
-    """Run each model's static/online pair; with ``os.fork``, all but the last in a child process.
+    """Run each model's static/online pair; through ``_run_forked``, all but the last in one child process.
 
     The pairs share nothing once the streams are built, so on a host with
-    more than one core they run side by side. The outputs, stderr line and
+    two usable CPUs they run side by side. The outputs, stderr line and
     exit code are those of a serial run.
     """
     pretrain, stream, merged, boundary = _assemble(cfg)
     drift_events = _detect_drifts(cfg, merged)
     os.makedirs(cfg.out_dir, exist_ok=True)
     write_drift_csv(drift_events, os.path.join(cfg.out_dir, "drift_events.csv"))
-    entries = _run_forked("model", cfg.models, lambda name: _run_model(cfg, name, pretrain, stream, args.save_models))
+    entries = _run_forked(
+        "model", cfg.models, lambda names: {n: _run_model(cfg, n, pretrain, stream, args.save_models) for n in names}
+    )
     summary = {
         "window": cfg.window,
         "seed": cfg.seed,
@@ -365,13 +363,6 @@ def cmd_drift(cfg: ExperimentConfig, args: argparse.Namespace) -> None:
         print(json.dumps(payload, sort_keys=True))
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _time_models(cfg: ExperimentConfig, names: list, pretrain, sample_stream):
     """Build and pretrain ``names`` in order, then time them in one ``latency_benchmark`` call."""
     models = {}
@@ -387,7 +378,7 @@ def _time_models(cfg: ExperimentConfig, names: list, pretrain, sample_stream):
 
 
 def cmd_bench(cfg: ExperimentConfig, args: argparse.Namespace) -> None:
-    """Time each model; with ``os.fork`` and two usable CPUs, all but the last in one child process.
+    """Time each model; through ``_run_forked``, all but the last in one child process.
 
     At most one timed process runs per core, since a third runnable process
     on two cores puts time-slicing inside timed events. Each model is timed
@@ -396,18 +387,14 @@ def cmd_bench(cfg: ExperimentConfig, args: argparse.Namespace) -> None:
     """
     pretrain, stream, _, _ = _assemble(cfg)
     sample_stream = stream[: cfg.bench.events_per_trial]
-    *forked, last = cfg.models
-    if forked and hasattr(os, "fork") and _usable_cpus() >= 2:
-        groups = {",".join(forked): forked, last: [last]}
-        reports = _run_forked("models", list(groups), lambda key: _time_models(cfg, groups[key], pretrain, sample_stream))
-        report_of = {name: reports[key] for key, names in groups.items() for name in names}
-        report = dataclasses.replace(
-            reports[last],
-            medians={name: report_of[name].medians[name] for name in cfg.models},
-            raw_ms={name: report_of[name].raw_ms[name] for name in cfg.models},
-        )
-    else:
-        report = _time_models(cfg, cfg.models, pretrain, sample_stream)
+    report_of = _run_forked(
+        "model", cfg.models, lambda names: dict.fromkeys(names, _time_models(cfg, names, pretrain, sample_stream))
+    )
+    report = dataclasses.replace(
+        report_of[cfg.models[-1]],
+        medians={name: report_of[name].medians[name] for name in cfg.models},
+        raw_ms={name: report_of[name].raw_ms[name] for name in cfg.models},
+    )
     os.makedirs(cfg.out_dir, exist_ok=True)
     write_latency_table(report, os.path.join(cfg.out_dir, "latency.csv"))
     write_latency_raw(report, os.path.join(cfg.out_dir, "latency_raw.csv"))
@@ -416,11 +403,11 @@ def cmd_bench(cfg: ExperimentConfig, args: argparse.Namespace) -> None:
 
 
 def cmd_gen(cfg: ExperimentConfig, args: argparse.Namespace) -> None:
-    """Write the two synthetic segments; with ``os.fork``, sfd.csv in a child process.
+    """Write the two synthetic segments; through ``_run_forked``, sfd.csv in a child process.
 
-    The files are independent, so on a host with more than one core they
-    are written side by side. The bytes, stderr line and exit code are
-    those of a serial write; when both fail, the sfd error is reported.
+    The files are independent, so on a host with two usable CPUs they are
+    written side by side. The bytes, stderr line and exit code are those of
+    a serial write; when both fail, the sfd error is reported.
     """
     if cfg.stream.mode != "synth":
         raise ConfigError("stream.mode", "gen requires synth mode")
@@ -428,7 +415,7 @@ def cmd_gen(cfg: ExperimentConfig, args: argparse.Namespace) -> None:
     with _collector_paused():
         segments = dict(zip(paths, _load_segments(cfg)))
         os.makedirs(cfg.out_dir, exist_ok=True)
-        _run_forked("segment", list(paths), lambda name: write_csv(segments[name], paths[name]))
+        _run_forked("segment", list(paths), lambda names: {n: write_csv(segments[n], paths[n]) for n in names})
         counts = {name: len(events) for name, events in segments.items()}
         del segments  # freed while paused, so that no collection walks them once it ends
     if not args.quiet:

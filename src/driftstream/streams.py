@@ -56,6 +56,9 @@ from .telemetry import (
 )
 
 SeedLike = Union[int, np.random.SeedSequence, np.random.Generator, None]
+# the largest event count numpy sizes as an array of 8-byte items; above it numpy
+# raises ValueError, below it a count the host cannot hold raises MemoryError
+MAX_COUNT = sys.maxsize // 8
 
 
 @dataclass
@@ -108,8 +111,8 @@ class SynthConfig:
     def validate(self) -> None:
         normal = self.osnr_normal_mean
         check_fields("stream.synth", [
-            ("n_sfd", 1 <= self.n_sfd <= sys.maxsize, "must be in [1, sys.maxsize]"),
-            ("n_hfd", 0 <= self.n_hfd <= sys.maxsize, "must be in [0, sys.maxsize]"),
+            ("n_sfd", 1 <= self.n_sfd <= MAX_COUNT, "must be in [1, sys.maxsize // 8]"),
+            ("n_hfd", 0 <= self.n_hfd <= MAX_COUNT, "must be in [0, sys.maxsize // 8]"),
             ("osnr_hard_drop", self.osnr_hard_drop > self.osnr_soft_drop > 0.0,
              "need osnr_hard_drop > osnr_soft_drop > 0"),
             ("failure_burst_len", self.failure_burst_len >= 1, "must be >= 1"),
@@ -147,7 +150,7 @@ class OversampleConfig:
             ("target_failure_ratio", (ratio is None) != (count is None),
              "set exactly one of target_failure_ratio / target_failure_count"),
             ("target_failure_ratio", ratio is None or 0.0 < ratio <= 0.5, "must be in (0, 0.5]"),
-            ("target_failure_count", count is None or 0 <= count <= sys.maxsize, "must be in [0, sys.maxsize]"),
+            ("target_failure_count", count is None or 0 <= count <= MAX_COUNT, "must be in [0, sys.maxsize // 8]"),
         ])
 
 

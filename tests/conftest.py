@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,30 @@ def make_stream(osnr_values, labels, segment=Segment.SFD, seed=0):
             )
         )
     return events
+
+
+def one_cpu(monkeypatch):
+    """Make this host report a single usable CPU."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The calls to ``os.fork``, on a host made to report two usable CPUs.
+
+    A command forks only where two CPUs are usable, so a test that needs the
+    forked path takes this fixture to get it on any host.
+    """
+    calls = []
+    fork = os.fork
+
+    def counted_fork():
+        calls.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    return calls
 
 
 @pytest.fixture(scope="session")

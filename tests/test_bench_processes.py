@@ -1,12 +1,13 @@
-"""`driftstream bench` times every model but the last in one forked child while the parent times the last.
+"""`driftstream bench` under the shared fork rule: every model but the last is timed in one forked child.
 
 A forked bench is compared with two serial ones, one without ``os.fork`` and
 one on a host that reports a single usable CPU: the same model order in
 ``latency.csv``, the same rows in ``latency_raw.csv``, the same stdout keys,
 the same pretrained models timed, and on failure the same exit code and
 stderr line, with the earliest failing model in ``models`` order named.
-Forked runs report two usable CPUs whatever the host has. After ``main``
-returns, on every path, no child process is left to reap.
+Forked runs take the ``forks`` fixture, which reports two usable CPUs
+whatever the host has. After ``main`` returns, on every path, no child
+process is left to reap.
 """
 
 import csv
@@ -24,14 +25,11 @@ from driftstream.errors import NonFiniteInput, PrequentialAbort
 from driftstream.evaluation import latency_benchmark
 from driftstream.models.snapshot import snapshot_json
 
+from conftest import one_cpu
 from test_cli import write_config
 from test_run_processes import CLASS_OF, MODELS, assert_no_children
 
 BENCH = {"trials": 3, "events_per_trial": 20, "warmup_trials": 1}
-
-
-def one_cpu(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
 
 
 def no_fork(monkeypatch):
@@ -39,21 +37,6 @@ def no_fork(monkeypatch):
 
 
 SERIAL = {"no-fork": no_fork, "one-cpu": one_cpu}
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """The calls to ``os.fork``, on a host made to report two usable CPUs."""
-    calls = []
-    fork = os.fork
-
-    def counted_fork():
-        calls.append(os.getpid())
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted_fork)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    return calls
 
 
 def bench(tmp_path, models, out, *flags):

@@ -3,6 +3,7 @@ import json
 import os
 import pathlib
 import statistics
+import sys
 import tempfile
 
 import pytest
@@ -137,6 +138,37 @@ def test_gen_then_run_file_mode_equals_synth_mode(tmp_path):
 def test_gen_rejects_empty_sfd(tmp_path, capsys):
     cfg = write_config(tmp_path, {"stream": {"mode": "synth", "synth": {"n_sfd": 0}}})
     assert main(["gen", "--config", cfg, "--out", str(tmp_path / "g")]) == 2
+
+
+# event-count field -> (command, lowest valid count, config holding a count)
+COUNT_FIELDS = {
+    "stream.synth.n_sfd": ("gen", 1, lambda n: {"stream": {"synth": {**SMALL_SYNTH["synth"], "n_sfd": n}}}),
+    "stream.synth.n_hfd": ("run", 0, lambda n: {"stream": {"synth": {**SMALL_SYNTH["synth"], "n_hfd": n}}}),
+    "oversample.target_failure_count": (
+        "drift", 0, lambda n: {"oversample": {"target_failure_ratio": None, "target_failure_count": n}}
+    ),
+}
+
+
+@pytest.mark.parametrize("count", [2**60, sys.maxsize])
+@pytest.mark.parametrize("field", list(COUNT_FIELDS))
+def test_a_count_numpy_cannot_size_exits_2_naming_the_field(tmp_path, capsys, field, count):
+    # numpy raises ValueError, not MemoryError, for an array of 2**60 8-byte items
+    command, lowest, config = COUNT_FIELDS[field]
+    cfg = write_config(tmp_path, config(count))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: config field '{field}': must be in [{lowest}, sys.maxsize // 8]\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("field", list(COUNT_FIELDS))
+def test_the_largest_count_exits_4_as_out_of_memory(tmp_path, capsys, field):
+    command, _, config = COUNT_FIELDS[field]
+    cfg = write_config(tmp_path, config(sys.maxsize // 8))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: ") and err.count("\n") == 1
 
 
 def test_stream_too_large_to_allocate_exits_4_without_a_traceback(tmp_path, capsys):

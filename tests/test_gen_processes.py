@@ -1,8 +1,10 @@
-"""`driftstream gen` writes sfd.csv in a forked child while the parent writes hfd.csv.
+"""`driftstream gen` under the shared fork rule: sfd.csv is written in one forked child, hfd.csv in the parent.
 
-Each run is compared with an inline one (``os.fork`` deleted): the same
-bytes in both files, the same stdout, and on failure the same exit code and
-stderr line, with the sfd error first when both files fail. After ``main``
+Each run is compared with an inline one (``os.fork`` deleted, or a host
+that reports one usable CPU): the same bytes in both files, the same
+stdout, and on failure the same exit code and stderr line, with the sfd
+error first when both files fail. Forked runs take the ``forks`` fixture,
+which reports two usable CPUs whatever the host has. After ``main``
 returns, on every path, no child process is left to reap.
 """
 
@@ -14,25 +16,22 @@ import pytest
 from driftstream import cli
 from driftstream.cli import main
 
+from conftest import one_cpu
 from test_cli import read_bytes_tree, write_config
 from test_run_processes import assert_no_children
 
 
-def gen_both_ways(tmp_path, monkeypatch, capsys, out, *flags):
-    """(exit code, stdout, stderr, files) of a forked gen, then of an inline one, both into ``out``."""
+def no_fork(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+
+
+def gen_both_ways(tmp_path, monkeypatch, capsys, forks, out, *flags, inline=no_fork):
+    """(exit code, stdout, stderr, files) of a forked gen, then of one that ``inline`` keeps in one process."""
     cfg = write_config(tmp_path)
-    forks = []
-    fork = os.fork
-
-    def counted_fork():
-        forks.append(os.getpid())
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted_fork)
     results = []
-    for inline in (False, True):
-        if inline:
-            monkeypatch.delattr(os, "fork")
+    for serial in (False, True):
+        if serial:
+            inline(monkeypatch)
         code = main(["gen", "--config", cfg, "--seed", "11", "--out", str(out), *flags])
         assert_no_children()
         assert len(forks) == 1
@@ -41,8 +40,8 @@ def gen_both_ways(tmp_path, monkeypatch, capsys, out, *flags):
     return results
 
 
-def test_forked_gen_equals_inline_gen(tmp_path, monkeypatch, capsys):
-    forked, inline = gen_both_ways(tmp_path, monkeypatch, capsys, tmp_path / "g")
+def test_forked_gen_equals_inline_gen(tmp_path, monkeypatch, capsys, forks):
+    forked, inline = gen_both_ways(tmp_path, monkeypatch, capsys, forks, tmp_path / "g")
     assert forked == inline
     code, out, err, files = forked
     assert code == 0 and err == ""
@@ -50,19 +49,25 @@ def test_forked_gen_equals_inline_gen(tmp_path, monkeypatch, capsys):
     assert sorted(files) == ["hfd.csv", "manifest.json", "sfd.csv"]
 
 
+def test_on_one_cpu_gen_writes_both_files_inline(tmp_path, monkeypatch, capsys, forks):
+    forked, inline = gen_both_ways(tmp_path, monkeypatch, capsys, forks, tmp_path / "g", inline=one_cpu)
+    assert forked == inline
+    assert forked[0] == 0 and sorted(forked[3]) == ["hfd.csv", "manifest.json", "sfd.csv"]
+
+
 @pytest.mark.parametrize("blocked", [("sfd",), ("hfd",), ("sfd", "hfd")])
-def test_an_unwritable_file_exits_3_like_inline_gen(tmp_path, monkeypatch, capsys, blocked):
+def test_an_unwritable_file_exits_3_like_inline_gen(tmp_path, monkeypatch, capsys, forks, blocked):
     out = tmp_path / "g"
     for name in blocked:
         (out / f"{name}.csv").mkdir(parents=True)
-    forked, inline = gen_both_ways(tmp_path, monkeypatch, capsys, out, "--quiet")
+    forked, inline = gen_both_ways(tmp_path, monkeypatch, capsys, forks, out, "--quiet")
     code, stdout, err, _ = forked
     assert (code, stdout, err) == inline[:3]
     assert code == 3 and stdout == ""
     assert err == f"i/o error: [Errno 21] Is a directory: {str(out / (blocked[0] + '.csv'))!r}\n"
 
 
-def test_a_killed_child_exits_4_naming_the_segment(tmp_path, monkeypatch, capsys):
+def test_a_killed_child_exits_4_naming_the_segment(tmp_path, monkeypatch, capsys, forks):
     write_csv = cli.write_csv
 
     def killed_sfd(events, path):

@@ -1,9 +1,10 @@
-"""`driftstream run` with each model but the last in its own forked process.
+"""`driftstream run` under the shared fork rule: every model but the last runs in one forked child.
 
 The forked run must be indistinguishable from a serial one: the same bytes
 in every report, and on failure the same exit code and stderr line, with
-the earliest failing model in ``cfg.models`` order named. After ``main``
-returns, on every path, no child process is left to reap.
+the earliest failing model in ``cfg.models`` order named. Forked runs take
+the ``forks`` fixture, which reports two usable CPUs whatever the host has.
+After ``main`` returns, on every path, no child process is left to reap.
 """
 
 import json
@@ -18,6 +19,7 @@ from driftstream.cli import main
 from driftstream.errors import NonFiniteInput, PrequentialAbort
 from driftstream.evaluation import prequential_run
 
+from conftest import one_cpu
 from test_cli import read_bytes_tree, write_config
 
 MODELS = ("lr", "nb", "arf")
@@ -46,9 +48,10 @@ def failing_models(monkeypatch, failures):
     monkeypatch.setattr(cli, "prequential_run", fake)
 
 
-def test_each_models_files_equal_the_model_run_alone(tmp_path, monkeypatch):
+def test_each_models_files_equal_the_model_run_alone(tmp_path, monkeypatch, forks):
     assert run(tmp_path, MODELS, "all", "--save-models") == 0
     assert_no_children()
+    assert len(forks) == 1
     together = read_bytes_tree(tmp_path / "all")
     summary = together.pop("summary.json")
     together.pop("manifest.json")  # it names the output directory
@@ -72,14 +75,28 @@ def test_each_models_files_equal_the_model_run_alone(tmp_path, monkeypatch):
     assert json.loads(summary)["models"] == entries
 
 
-def test_without_fork_every_model_runs_inline(tmp_path, monkeypatch):
+def assert_forked_and_inline_runs_match(tmp_path):
+    forked, inline = read_bytes_tree(tmp_path / "forked"), read_bytes_tree(tmp_path / "inline")
+    forked.pop("manifest.json")  # it names the output directory
+    inline.pop("manifest.json")
+    assert forked == inline
+
+
+def test_without_fork_every_model_runs_inline(tmp_path, monkeypatch, forks):
     assert run(tmp_path, MODELS, "forked", "--save-models") == 0
     monkeypatch.delattr(os, "fork")
     assert run(tmp_path, MODELS, "inline", "--save-models") == 0
-    forked, inline = read_bytes_tree(tmp_path / "forked"), read_bytes_tree(tmp_path / "inline")
-    forked.pop("manifest.json")
-    inline.pop("manifest.json")
-    assert forked == inline
+    assert len(forks) == 1
+    assert_forked_and_inline_runs_match(tmp_path)
+
+
+def test_on_one_cpu_every_model_runs_inline(tmp_path, monkeypatch, forks):
+    assert run(tmp_path, MODELS, "forked", "--save-models") == 0
+    assert len(forks) == 1
+    one_cpu(monkeypatch)
+    assert run(tmp_path, MODELS, "inline", "--save-models") == 0
+    assert len(forks) == 1
+    assert_forked_and_inline_runs_match(tmp_path)
 
 
 @pytest.mark.parametrize(
@@ -89,7 +106,7 @@ def test_without_fork_every_model_runs_inline(tmp_path, monkeypatch):
         (OSError(28, "No space left on device"), 3),
     ],
 )
-def test_a_failing_child_exits_like_the_model_run_alone(tmp_path, monkeypatch, capsys, failure, code):
+def test_a_failing_child_exits_like_the_model_run_alone(tmp_path, monkeypatch, capsys, forks, failure, code):
     failing_models(monkeypatch, {"lr": failure})
     assert run(tmp_path, ["lr"], "alone") == code
     alone = capsys.readouterr().err
@@ -100,36 +117,65 @@ def test_a_failing_child_exits_like_the_model_run_alone(tmp_path, monkeypatch, c
 
 
 @pytest.mark.parametrize("failing", [("lr", "nb", "arf"), ("nb", "arf"), ("arf",), ("lr", "arf")])
-def test_the_earliest_failing_model_wins(tmp_path, monkeypatch, capsys, failing):
+def test_the_earliest_failing_model_wins(tmp_path, monkeypatch, capsys, forks, failing):
     failing_models(monkeypatch, {name: PrequentialAbort(3, NonFiniteInput(name)) for name in failing})
     assert run(tmp_path, MODELS, "o") == 4
     assert_no_children()
     assert capsys.readouterr().err == f"error: model error at stream index 3: non-finite {failing[0]}\n"
 
 
-def test_a_killed_child_exits_4_naming_the_model(tmp_path, monkeypatch, capsys):
+def killed_lr(monkeypatch):
+    """Make the process that runs lr die by SIGKILL."""
     run_model = cli._run_model
 
-    def killed_lr(cfg, name, *args):
+    def killed(cfg, name, *args):
         if name == "lr":
             os.kill(os.getpid(), signal.SIGKILL)
         return run_model(cfg, name, *args)
 
-    monkeypatch.setattr(cli, "_run_model", killed_lr)
+    monkeypatch.setattr(cli, "_run_model", killed)
+
+
+def test_a_killed_child_exits_4_naming_the_model(tmp_path, monkeypatch, capsys, forks):
+    killed_lr(monkeypatch)
     assert run(tmp_path, ["lr", "nb"], "o") == 4
     assert_no_children()
     err = capsys.readouterr().err
     assert err == f"error: model 'lr': its process was killed by signal {int(signal.SIGKILL)} without a result\n"
 
 
-def test_an_unexpected_error_in_a_child_exits_4_naming_the_model(tmp_path, monkeypatch, capsys):
+def test_a_killed_child_of_three_models_exits_4_naming_its_models(tmp_path, monkeypatch, capsys, forks):
+    killed_lr(monkeypatch)
+    assert run(tmp_path, MODELS, "o") == 4
+    assert_no_children()
+    assert len(forks) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: models 'lr,nb': its process was killed by signal {int(signal.SIGKILL)} without a result\n"
+
+
+def test_an_interrupted_child_leaves_without_a_traceback(tmp_path, monkeypatch, capfd, forks):
+    run_model = cli._run_model
+
+    def interrupted_lr(cfg, name, *args):
+        if name == "lr":
+            raise KeyboardInterrupt
+        return run_model(cfg, name, *args)
+
+    monkeypatch.setattr(cli, "_run_model", interrupted_lr)
+    assert run(tmp_path, ["lr", "arf"], "o") == 4
+    assert_no_children()
+    err = capfd.readouterr().err
+    assert err == "error: model 'lr': its process exited with code 1 without a result\n"
+
+
+def test_an_unexpected_error_in_a_child_exits_4_naming_the_model(tmp_path, monkeypatch, capsys, forks):
     failing_models(monkeypatch, {"nb": KeyError("boom")})
     assert run(tmp_path, ["nb", "lr"], "o") == 4
     assert_no_children()
     assert capsys.readouterr().err.splitlines()[-1] == "error: model 'nb': its process exited with code 1 without a result"
 
 
-def test_an_interrupted_parent_kills_and_reaps_its_children(tmp_path, monkeypatch):
+def test_an_interrupted_parent_kills_and_reaps_its_children(tmp_path, monkeypatch, forks):
     def slow_children(cfg, name, *args):
         if name != "arf":
             time.sleep(60)
