@@ -5,7 +5,9 @@ derives all randomness from the root seed, and writes a manifest next to its
 outputs so a run can be reproduced from the manifest alone. ``run``,
 ``bench`` and ``gen`` split their work by one rule, ``_run_forked``: on a
 host with ``os.fork`` and two usable CPUs, every model (or file) but the
-last goes to one forked child, and the last stays in this process.
+last goes to one forked child, and the last stays in this process. When arf
+is that last model, the child first trains a share of its tree slots and
+hands them over.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import os
 import pickle
 import signal
 import sys
+import tempfile
 import traceback
 
 from . import __version__
@@ -31,6 +34,7 @@ from .evaluation import (
     export_report,
     latency_benchmark,
     prequential_run,
+    slot_share,
     write_latency_raw,
     write_latency_table,
 )
@@ -194,10 +198,14 @@ def _emit_summary(cfg: ExperimentConfig, summary: dict) -> None:
             )
 
 
-def _run_model(cfg: ExperimentConfig, name: str, pretrain, stream, save_models: bool) -> dict:
-    """One model's static/online pair: write its report (and snapshots), return its summary entry."""
-    static_model = cfg.build_model(name)
-    online_model = cfg.build_model(name)
+def _run_model(cfg: ExperimentConfig, name: str, pretrain, stream, save_models: bool, slots=None, share=None) -> dict:
+    """One model's static/online pair: write its report (and snapshots), return its summary entry.
+
+    ``slots``, if given, are the only forest slots this process trains, and
+    ``share`` waits for what the forked child's ``_arf_share`` made of the others.
+    """
+    static_model = _build(cfg, name, slots)
+    online_model = _build(cfg, name, slots)
     report = prequential_run(
         static_model,
         online_model,
@@ -206,12 +214,46 @@ def _run_model(cfg: ExperimentConfig, name: str, pretrain, stream, save_models: 
         cfg.window,
         shuffle_seed=named_seed(cfg.seed, "pretrain-shuffle"),
         epochs=cfg.epochs,
+        share=share,
     )
     export_report(report, os.path.join(cfg.out_dir, f"{name}_metrics.{cfg.format}"), cfg.format)
     if save_models:
         save_model(static_model, os.path.join(cfg.out_dir, f"{name}_static.model.json"))
         save_model(online_model, os.path.join(cfg.out_dir, f"{name}_online.model.json"))
     return {k: v for k, v in report.summary.items() if k != "window"}
+
+
+# The share of arf's tree slots that the forked child trains, from measured splits of the default
+# config: in run the child also runs lr and nb (about 0.45 s of CPU against arf's 1.0 s), in bench
+# it also pretrains and times them, while only arf's pretrain splits.
+_RUN_CHILD_SHARE = 0.3
+_BENCH_CHILD_SHARE = 0.5
+
+
+def _arf_split(cfg: ExperimentConfig, child_share: float) -> tuple:
+    """(this process's slots, the forked child's slots) of arf; (None, None) unless arf is the last of several models.
+
+    Nor does arf split if the child's share rounds to no slot, or to all.
+    """
+    n_trees = cfg.arf.n_trees
+    n_child = min(int(n_trees * child_share + 0.5), n_trees - 1)
+    if len(cfg.models) < 2 or cfg.models[-1] != "arf" or n_child < 1:
+        return None, None
+    return range(n_trees - n_child), range(n_trees - n_child, n_trees)
+
+
+def _build(cfg: ExperimentConfig, name: str, slots=None):
+    """``cfg.build_model(name)``; a forest that learns only ``slots``, if given."""
+    model = cfg.build_model(name)
+    if slots is not None:
+        model.learning = slots
+    return model
+
+
+def _pretrained(cfg: ExperimentConfig, name: str, pretrain, slots=None):
+    model = _build(cfg, name, slots)
+    _pretrain(model, pretrain, named_seed(cfg.seed, "pretrain-shuffle"), cfg.epochs)
+    return model
 
 
 class _ForkedFailure(DriftStreamError):
@@ -245,72 +287,103 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _run_forked(kind: str, names: list, run) -> dict:
-    """``run(names)``, a dict keyed by name; with ``os.fork`` and two usable CPUs, in two processes.
+def _outcome(work) -> tuple:
+    """``("ok", work())``, or ``("failed", exit code, stderr line)``, since not every exception survives pickling.
 
-    Then ``run(names[:-1])`` runs in one forked child while the parent makes
-    the ``run(names[-1:])`` call, so no more processes than cores do the
-    work; otherwise ``run(names)`` is made in this process. The child sends
-    back ``("ok", result)`` or ``("failed", exit code, stderr line)``, since
-    not every exception survives pickling; an error that main would not map
-    prints its traceback and sends nothing. The child always leaves through
-    ``os._exit``, so it never returns into the caller's stack, and it exits
-    0 only once its message is written. A child that ends without a result
-    is a DriftStreamError naming the ``kind`` of work and its names. Its
-    error wins over the parent's, since its names come first. A fork, unlike
-    a fresh interpreter, inherits the built streams without a copy; the
-    package starts no threads, and numpy's BLAS pool shuts down across a
-    fork through its own fork handler.
+    An interrupt propagates silently: the parent is interrupted too and
+    prints the one traceback. Any other error that main would not map prints
+    its traceback and propagates.
+    """
+    try:
+        return ("ok", work())
+    except KeyboardInterrupt:
+        raise
+    except BaseException as err:
+        status = _exit_status(err)
+        if status is None:
+            traceback.print_exc()
+            sys.stderr.flush()
+            raise
+        return ("failed", *status)
+
+
+def _pipe(owned: contextlib.ExitStack):
+    """(read end, write end) of a new pipe, as files that ``owned`` closes."""
+    read_fd, write_fd = os.pipe()
+    return owned.enter_context(os.fdopen(read_fd, "rb")), owned.enter_context(os.fdopen(write_fd, "wb"))
+
+
+def _run_forked(kind: str, names: list, run, first=None) -> dict:
+    """``run(names, None)``, a dict keyed by name; with ``os.fork`` and two usable CPUs, in two processes.
+
+    Then a forked child makes the ``run(names[:-1], None)`` call while the
+    parent makes the ``run(names[-1:], receive)`` call, so no more processes
+    than cores do the work. ``first``, if given, is a part of the last name's
+    work that the child does before its own names; ``receive()`` waits for
+    its ``_outcome``, which the child writes to an unnamed temporary file and
+    announces with one byte on a pipe, so that it never waits for the parent
+    to read it. The child sends its own names' ``_outcome`` last, then exits
+    0; it always leaves through ``os._exit``, so it never returns into the
+    caller's stack. A child that ends without a result is a DriftStreamError
+    naming the ``kind`` of work and its names. Its error wins over the
+    parent's, since its names come first. A fork, unlike a fresh interpreter,
+    inherits the built streams without a copy; the package starts no
+    threads, and numpy's BLAS pool shuts down across a fork through its own
+    fork handler.
     """
     if len(names) < 2 or not hasattr(os, "fork") or _usable_cpus() < 2:
-        return run(names)
+        return run(names, None)
     forked = names[:-1]
-    read_fd, write_fd = os.pipe()
-    sys.stdout.flush()  # so that the child holds no copy of unwritten output
-    sys.stderr.flush()
-    try:
+    with contextlib.ExitStack() as owned:
+        result, sink = _pipe(owned)
+        if first is not None:
+            announced, announce = _pipe(owned)
+            handover = owned.enter_context(tempfile.TemporaryFile())
+        sys.stdout.flush()  # so that the child holds no copy of unwritten output
+        sys.stderr.flush()
         pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if not pid:
-        code = 1
+        if not pid:
+            code = 1
+            try:
+                if first is not None:
+                    pickle.dump(_outcome(first), handover)
+                    handover.flush()
+                    announce.write(b"!")
+                    announce.flush()
+                pickle.dump(_outcome(lambda: run(forked, None)), sink)
+                sink.flush()
+                code = 0
+            finally:
+                os._exit(code)
+        sink.close()
+        receive = None
+        if first is not None:
+            announce.close()
+
+            def receive():
+                if announced.read(1) != b"!":  # the child ended first: its exit status is reported
+                    raise DriftStreamError("no share arrived")
+                handover.seek(0)
+                message = pickle.load(handover)
+                if message[0] != "ok":
+                    raise _ForkedFailure(*message[1:])
+                return message[1]
+
         try:
-            os.close(read_fd)
             try:
-                message = ("ok", run(forked))
-            except KeyboardInterrupt:  # the parent is interrupted too and prints the one traceback
-                raise
-            except BaseException as err:
-                status = _exit_status(err)
-                if status is None:
-                    traceback.print_exc()
-                    sys.stderr.flush()
-                    raise
-                message = ("failed", *status)
-            with os.fdopen(write_fd, "wb") as fh:
-                pickle.dump(message, fh)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_fd)
-    try:
-        with os.fdopen(read_fd, "rb") as result:
-            try:
-                entries, error = run(names[-1:]), None
+                entries, error = run(names[-1:], receive), None
             except Exception as err:
                 entries, error = {}, err
             try:
                 message = pickle.load(result)
             except (EOFError, pickle.UnpicklingError):  # cut short or never sent: the exit status says why
                 message = None
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        pid = None
-    finally:
-        if pid is not None:  # the parent itself was interrupted
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            pid = None
+        finally:
+            if pid is not None:  # the parent itself was interrupted
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
     if code != 0:
         how = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
         group = f"{kind} {forked[0]!r}" if len(forked) == 1 else f"{kind}s {','.join(forked)!r}"
@@ -326,15 +399,23 @@ def cmd_run(cfg: ExperimentConfig, args: argparse.Namespace) -> None:
     """Run each model's static/online pair; through ``_run_forked``, all but the last in one child process.
 
     The pairs share nothing once the streams are built, so on a host with
-    two usable CPUs they run side by side. The outputs, stderr line and
-    exit code are those of a serial run.
+    two usable CPUs they run side by side. When arf is the last model, the
+    child first trains arf's last slots (``_arf_share``) and hands them over
+    before it runs its own models; this process trains the other slots and
+    adds the child's slot probabilities to its own. The outputs, stderr line
+    and exit code are those of a serial run.
     """
     pretrain, stream, merged, boundary = _assemble(cfg)
     drift_events = _detect_drifts(cfg, merged)
     os.makedirs(cfg.out_dir, exist_ok=True)
     write_drift_csv(drift_events, os.path.join(cfg.out_dir, "drift_events.csv"))
+    head, tail = _arf_split(cfg, _RUN_CHILD_SHARE)
     entries = _run_forked(
-        "model", cfg.models, lambda names: {n: _run_model(cfg, n, pretrain, stream, args.save_models) for n in names}
+        "model",
+        cfg.models,
+        lambda names, share: {n: _run_model(cfg, n, pretrain, stream, args.save_models, share and head, share)
+                              for n in names},
+        tail and (lambda: _arf_share(cfg, tail, pretrain, stream)),
     )
     summary = {
         "window": cfg.window,
@@ -346,6 +427,19 @@ def cmd_run(cfg: ExperimentConfig, args: argparse.Namespace) -> None:
         json.dump(summary, fh, sort_keys=True, indent=2)
     if not args.quiet:
         _emit_summary(cfg, summary)
+
+
+def _arf_share(cfg: ExperimentConfig, slots: range, pretrain, stream) -> tuple:
+    """``slot_share`` of arf's static/online pair, learning only ``slots``: what ``_run_model``'s ``share`` returns."""
+    return slot_share(
+        _build(cfg, "arf", slots),
+        _build(cfg, "arf", slots),
+        pretrain,
+        stream,
+        cfg.window,
+        shuffle_seed=named_seed(cfg.seed, "pretrain-shuffle"),
+        epochs=cfg.epochs,
+    )
 
 
 def cmd_drift(cfg: ExperimentConfig, args: argparse.Namespace) -> None:
@@ -363,12 +457,18 @@ def cmd_drift(cfg: ExperimentConfig, args: argparse.Namespace) -> None:
         print(json.dumps(payload, sort_keys=True))
 
 
-def _time_models(cfg: ExperimentConfig, names: list, pretrain, sample_stream):
-    """Build and pretrain ``names`` in order, then time them in one ``latency_benchmark`` call."""
+def _time_models(cfg: ExperimentConfig, names: list, pretrain, sample_stream, slots=None, share=None):
+    """Build and pretrain ``names`` in order, then time them in one ``latency_benchmark`` call.
+
+    ``slots``, if given, are the only forest slots this process pretrains,
+    and ``share`` waits for the forest the forked child pretrained on the
+    others; the joined forest is timed.
+    """
     models = {}
     for name in names:
-        models[name] = cfg.build_model(name)
-        _pretrain(models[name], pretrain, named_seed(cfg.seed, "pretrain-shuffle"), cfg.epochs)
+        models[name] = _pretrained(cfg, name, pretrain, slots)
+        if share is not None:
+            models[name].join(share())
     return latency_benchmark(
         models,
         sample_stream,
@@ -381,14 +481,22 @@ def cmd_bench(cfg: ExperimentConfig, args: argparse.Namespace) -> None:
     """Time each model; through ``_run_forked``, all but the last in one child process.
 
     At most one timed process runs per core, since a third runnable process
-    on two cores puts time-slicing inside timed events. Each model is timed
-    on its own copies, so the outputs, stderr line and exit code are those
-    of a serial run.
+    on two cores puts time-slicing inside timed events. When arf is the last
+    model, the child first pretrains arf's last slots and hands them over;
+    this process pretrains the others, joins them and times the whole
+    forest, since a timed event cannot span two processes. Each model is
+    timed on its own copies, so the outputs, stderr line and exit code are
+    those of a serial run.
     """
     pretrain, stream, _, _ = _assemble(cfg)
     sample_stream = stream[: cfg.bench.events_per_trial]
+    head, tail = _arf_split(cfg, _BENCH_CHILD_SHARE)
     report_of = _run_forked(
-        "model", cfg.models, lambda names: dict.fromkeys(names, _time_models(cfg, names, pretrain, sample_stream))
+        "model",
+        cfg.models,
+        lambda names, share: dict.fromkeys(names, _time_models(cfg, names, pretrain, sample_stream, share and head,
+                                                               share)),
+        tail and (lambda: _pretrained(cfg, "arf", pretrain, tail)),
     )
     report = dataclasses.replace(
         report_of[cfg.models[-1]],
@@ -415,7 +523,7 @@ def cmd_gen(cfg: ExperimentConfig, args: argparse.Namespace) -> None:
     with _collector_paused():
         segments = dict(zip(paths, _load_segments(cfg)))
         os.makedirs(cfg.out_dir, exist_ok=True)
-        _run_forked("segment", list(paths), lambda names: {n: write_csv(segments[n], paths[n]) for n in names})
+        _run_forked("segment", list(paths), lambda names, _: {n: write_csv(segments[n], paths[n]) for n in names})
         counts = {name: len(events) for name, events in segments.items()}
         del segments  # freed while paused, so that no collection walks them once it ends
     if not args.quiet:

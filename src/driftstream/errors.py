@@ -72,6 +72,15 @@ class ConfigError(DriftStreamError):
         self.reason = reason
 
 
+class SnapshotError(DriftStreamError, ValueError):
+    """A model snapshot that cannot be restored; names the offending field."""
+
+    def __init__(self, field: str, reason: str):
+        super().__init__(f"snapshot field '{field}': {reason}")
+        self.field = field
+        self.reason = reason
+
+
 def check_fields(section: str, rules) -> None:
     """Raise ConfigError for the first ``(field, holds, rule)`` row that does not hold.
 

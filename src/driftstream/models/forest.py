@@ -5,6 +5,10 @@ bagging) and restricts its splits to small random feature subsets. Two
 change detectors watch each tree's own prequential 0/1 error: the warning
 detector starts a background tree that trains alongside, and the drift
 detector swaps the background tree in (or a fresh tree if none exists).
+
+A tree slot (its tree, background tree, two detectors and seed sequence)
+shares nothing with the other slots but the bagging draw, so a forest can be
+trained in shares: each share learns some slots and joins the others later.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from ..drift import Direction, PageHinkley
+from ..errors import SnapshotError
 from .base import check_sample
 from .tree import HoeffdingTree, _rng_from_state, _rng_state, _SplitNode
 
@@ -24,10 +29,18 @@ class AdaptiveRandomForest:
     """Online random forest over Hoeffding trees.
 
     The ensemble size stays constant; adaptation happens through per-tree
-    background training and replacement. All randomness (bagging weights,
-    per-leaf feature subsets, background-tree seeds) flows from the single
-    constructor seed, and trees are updated in index order, so runs are
-    reproducible.
+    background training and replacement. The constructor seed yields the
+    bagging generator and one seed sequence per tree slot; a slot's initial
+    tree is seeded from its sequence, and every background or replacement
+    tree is spawned from it. So a slot's future depends only on its own
+    samples and bagging weights, never on when other slots spawned, and runs
+    are reproducible whichever slots learn together.
+
+    ``learning`` is the range of slots that ``learn_one`` updates and
+    ``slot_scores`` reports, every slot by default; ``learn_one`` still draws
+    every slot's bagging weight. A forest restricted to some slots is a
+    share, and ``join`` takes the slots another share of the same forest
+    learned from the same samples.
 
     ``bagging=False`` forces every sample weight to 1 and
     ``drift_detection=False`` disables the per-tree detectors; with one tree
@@ -70,15 +83,16 @@ class AdaptiveRandomForest:
         self.bagging = bagging
         self.drift_detection = drift_detection
 
-        self._ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        children = self._ss.spawn(n_trees + 1)
-        self._bag_rng = np.random.default_rng(children[-1])
-        self.trees = [self._new_tree(children[i]) for i in range(n_trees)]
+        root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+        *self._slot_seeds, bag_seed = root.spawn(n_trees + 1)
+        self._bag_rng = np.random.default_rng(bag_seed)
+        self.trees = [self._new_tree(ss) for ss in self._slot_seeds]
         self._background: list[Optional[HoeffdingTree]] = [None] * n_trees
         self._warn = [self._new_detector(self.warn_threshold) for _ in range(n_trees)]
         self._drift = [self._new_detector(self.drift_threshold) for _ in range(n_trees)]
         self.n_warnings = 0
         self.n_replacements = 0
+        self.learning = range(n_trees)
 
     def _new_tree(self, seed) -> HoeffdingTree:
         return HoeffdingTree(
@@ -112,6 +126,35 @@ class AdaptiveRandomForest:
             total += (c1 + 1.0) / (c0 + c1 + 2.0)
         return total / self.n_trees
 
+    def slot_scores(self, x: Sequence[float]) -> list[float]:
+        """The leaf probability of each learning slot's tree, in slot order; ``score_one`` averages every slot's."""
+        check_sample(x, self.n_features)
+        trees = self.trees
+        scores = []
+        for i in self.learning:
+            node = trees[i]._root
+            while node.__class__ is _SplitNode:
+                node = node.left if x[node.feature] <= node.threshold else node.right
+            c0, c1 = node.counts
+            scores.append((c1 + 1.0) / (c0 + c1 + 2.0))
+        return scores
+
+    def join(self, share: "AdaptiveRandomForest") -> None:
+        """Take the slots ``share`` learned, and its warnings and replacements; then learn every slot.
+
+        ``share`` is this forest built from the same seed and trained on the
+        same samples, with learning restricted to the slots this one skipped.
+        """
+        for i in share.learning:
+            self.trees[i] = share.trees[i]
+            self._background[i] = share._background[i]
+            self._warn[i] = share._warn[i]
+            self._drift[i] = share._drift[i]
+            self._slot_seeds[i] = share._slot_seeds[i]
+        self.n_warnings += share.n_warnings
+        self.n_replacements += share.n_replacements
+        self.learning = range(self.n_trees)
+
     def learn_one(self, x: Sequence[float], y: int) -> None:
         check_sample(x, self.n_features, y)
         if self.bagging:
@@ -121,7 +164,8 @@ class AdaptiveRandomForest:
             weights = [1] * self.n_trees
         trees, backgrounds, warn, drift = self.trees, self._background, self._warn, self._drift
         positive = y == 1
-        for i, k in enumerate(weights):
+        for i in self.learning:
+            k = weights[i]
             tree = trees[i]
             # one routing serves both the prequential error and the update
             routed = tree._route(x)
@@ -138,12 +182,12 @@ class AdaptiveRandomForest:
                 continue
             # the 0/1 error is finite by construction: skip update()'s check
             if warn[i]._step(error) and backgrounds[i] is None:
-                backgrounds[i] = self._new_tree(self._ss.spawn(1)[0])
+                backgrounds[i] = self._new_tree(self._slot_seeds[i].spawn(1)[0])
                 self.n_warnings += 1
             if drift[i]._step(error):
                 replacement = backgrounds[i]
                 if replacement is None:
-                    replacement = self._new_tree(self._ss.spawn(1)[0])
+                    replacement = self._new_tree(self._slot_seeds[i].spawn(1)[0])
                 trees[i] = replacement
                 backgrounds[i] = None
                 warn[i] = self._new_detector(self.warn_threshold)
@@ -172,7 +216,7 @@ class AdaptiveRandomForest:
                 "bagging": self.bagging,
                 "drift_detection": self.drift_detection,
             },
-            "seed_sequence": _seed_sequence_state(self._ss),
+            "slot_seeds": [_seed_sequence_state(ss) for ss in self._slot_seeds],
             "bag_rng": _rng_state(self._bag_rng),
             "trees": [t.to_state() for t in self.trees],
             "background": [t.to_state() if t is not None else None for t in self._background],
@@ -184,8 +228,10 @@ class AdaptiveRandomForest:
 
     @classmethod
     def from_state(cls, state: dict) -> "AdaptiveRandomForest":
+        if "slot_seeds" not in state:
+            raise SnapshotError("slot_seeds", "missing: the forest snapshot predates per-slot seeds")
         forest = cls(**state["params"], seed=0)
-        forest._ss = _seed_sequence_from_state(state["seed_sequence"])
+        forest._slot_seeds = [_seed_sequence_from_state(s) for s in state["slot_seeds"]]
         forest._bag_rng = _rng_from_state(state["bag_rng"])
         forest.trees = [HoeffdingTree.from_state(s) for s in state["trees"]]
         forest._background = [

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+from ..errors import SnapshotError
 from .bayes import GaussianNB
 from .forest import AdaptiveRandomForest
 from .linear import LogisticRegression
@@ -37,12 +38,12 @@ def save_model(model, path: str) -> None:
 
 def restore_model(data: dict):
     if data.get("format") != FORMAT_NAME:
-        raise ValueError(f"not a {FORMAT_NAME} snapshot")
+        raise SnapshotError("format", f"not a {FORMAT_NAME} snapshot")
     if data.get("version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported snapshot version: {data.get('version')}")
-    kind = data["kind"]
+        raise SnapshotError("version", f"unsupported snapshot version: {data.get('version')}")
+    kind = data.get("kind")
     if kind not in _KINDS:
-        raise ValueError(f"unknown model kind: {kind}")
+        raise SnapshotError("kind", f"unknown model kind: {kind}")
     return _KINDS[kind].from_state(data["state"])
 
 

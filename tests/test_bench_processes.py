@@ -96,7 +96,9 @@ def test_forked_bench_has_the_layout_of_a_serial_bench(tmp_path, monkeypatch, ca
     assert len(sequence) == len(MODELS) * 2 * BENCH["trials"] * BENCH["events_per_trial"]
 
 
-def test_forked_bench_times_the_models_a_serial_bench_times(tmp_path, monkeypatch, forks):
+def timed_models(tmp_path, monkeypatch, models, config=None):
+    """{run: {model: snapshot of the pretrained model that was timed}} of a forked and a serial bench."""
+
     # the child's models are timed in the child, so the recorder writes files
     def record_timed_models(models, *args, **kwargs):
         for name, model in models.items():
@@ -104,15 +106,43 @@ def test_forked_bench_times_the_models_a_serial_bench_times(tmp_path, monkeypatc
         return latency_benchmark(models, *args, **kwargs)
 
     monkeypatch.setattr(cli, "latency_benchmark", record_timed_models)
+    cfg = write_config(tmp_path, {"models": list(MODELS), "bench": BENCH, **(config or {})})
     timed = {}
     for out in ("forked", "serial"):
         if out == "serial":
             no_fork(monkeypatch)
         recorded = tmp_path / f"timed_{out}"
         recorded.mkdir()
-        assert bench(tmp_path, MODELS, out, "--quiet") == 0
+        argv = ["bench", "--config", cfg, "--models", ",".join(models), "--out", str(tmp_path / out), "--quiet"]
+        assert main(argv) == 0
+        assert_no_children()
         timed[out] = {path.name: path.read_text() for path in recorded.iterdir()}
+    return timed
+
+
+def test_forked_bench_times_the_models_a_serial_bench_times(tmp_path, monkeypatch, forks):
+    timed = timed_models(tmp_path, monkeypatch, MODELS)
     assert set(timed["forked"]) == set(MODELS)
+    assert timed["forked"] == timed["serial"]
+
+
+@pytest.mark.parametrize(
+    "models, n_trees, splits",
+    [(MODELS, 1, False), (MODELS, 2, True), (MODELS, 3, True), (("nb", "arf"), 10, True), (("arf", "lr"), 10, False)],
+)
+def test_a_split_forest_is_timed_as_a_serial_bench_times_it(tmp_path, monkeypatch, forks, models, n_trees, splits):
+    shares = []
+    time_models = cli._time_models
+
+    def recording(cfg, names, *args):
+        shares.append(args[-1] is not None)
+        return time_models(cfg, names, *args)
+
+    monkeypatch.setattr(cli, "_time_models", recording)
+    timed = timed_models(tmp_path, monkeypatch, models, {"arf": {"n_trees": n_trees}})
+    assert len(forks) == 1
+    assert shares == [splits, False]  # the forked bench's parent, then the serial bench
+    assert set(timed["forked"]) == set(models)
     assert timed["forked"] == timed["serial"]
 
 

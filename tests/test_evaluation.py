@@ -22,10 +22,11 @@ from driftstream.evaluation import (
     prequential_run,
     rolling_auc,
     rolling_auc_flagged,
+    slot_share,
     write_latency_raw,
     write_latency_table,
 )
-from driftstream.models import LogisticRegression
+from driftstream.models import AdaptiveRandomForest, LogisticRegression
 from driftstream.models.snapshot import snapshot_json
 from driftstream.telemetry import Segment, to_features
 
@@ -348,6 +349,73 @@ def test_online_arm_that_already_learned_is_rejected():
     online_model.learn_one(to_features(pretrain[0]), 0)
     with pytest.raises(ValueError, match="same state"):
         prequential_run(LogisticRegression(), online_model, pretrain, [], window=5, shuffle_seed=0)
+
+
+# -- a forest run in two shares ---------------------------------------------------
+
+
+class FailingForest(AdaptiveRandomForest):
+    """A forest whose ``learn_one`` raises NonFiniteInput(``name``) on the features ``fails_on``."""
+
+    fails_on, name = None, ""
+
+    def learn_one(self, x, y):
+        if x == self.fails_on:
+            raise NonFiniteInput(self.name)
+        super().learn_one(x, y)
+
+
+def forest_pair(head_slots=None, fails_on=None, name=""):
+    pair = []
+    for _ in range(2):
+        forest = FailingForest(n_trees=4, seed=5)
+        forest.fails_on, forest.name = fails_on, name
+        if head_slots is not None:
+            forest.learning = head_slots
+        pair.append(forest)
+    return pair
+
+
+def flip_streams():
+    pretrain = make_stream([30.0] * 150 + [24.0] * 150, [0] * 150 + [1] * 150)
+    # the drop in osnr_rx now means "healthy": the forest's detectors warn and replace trees
+    stream = make_stream([18.0] * 200 + [30.0] * 200, [0] * 200 + [1] * 200, segment=Segment.HFD, seed=1)
+    return pretrain, stream
+
+
+def run_split(head, pretrain, stream, fails=(None, None)):
+    """The run of ``forest_pair`` with slots ``[0, head)`` here and the rest in an in-process share."""
+    failing = [stream[i] if i is not None else None for i in fails]
+    tail = slot_share(*forest_pair(range(head, 4), failing[1] and to_features(failing[1]), "tail"), pretrain, stream,
+                      window=50, shuffle_seed=2)
+    static_model, online_model = forest_pair(range(head), failing[0] and to_features(failing[0]), "head")
+    report = prequential_run(static_model, online_model, pretrain, stream, window=50, shuffle_seed=2,
+                             share=lambda: tail)
+    return report, static_model, online_model
+
+
+@pytest.mark.parametrize("head", [1, 2, 3])
+def test_a_forest_run_in_two_shares_equals_the_whole_run_bit_for_bit(head):
+    pretrain, stream = flip_streams()
+    static_model, online_model = forest_pair()
+    whole = prequential_run(static_model, online_model, pretrain, stream, window=50, shuffle_seed=2)
+    assert online_model.n_replacements > static_model.n_replacements  # the stream replaced trees
+    split, static_split, online_split = run_split(head, pretrain, stream)
+    assert split == whole
+    assert snapshot_json(static_split) == snapshot_json(static_model)
+    assert snapshot_json(online_split) == snapshot_json(online_model)
+
+
+@pytest.mark.parametrize(
+    "fails, expected",
+    [((None, 3), "3: non-finite tail"), ((5, 3), "3: non-finite tail"), ((3, 5), "3: non-finite head"),
+     ((4, 4), "4: non-finite head")],
+)
+def test_a_forest_run_in_two_shares_reports_the_earlier_failure(fails, expected):
+    pretrain, stream = flip_streams()
+    with pytest.raises(PrequentialAbort, match=f"^model error at stream index {expected}$") as exc:
+        run_split(2, pretrain, stream, fails)
+    assert exc.value.index == int(expected.split(":")[0])
 
 
 # -- export ----------------------------------------------------------------------

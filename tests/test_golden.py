@@ -25,9 +25,9 @@ GOLDEN_CONFIG = {
 
 GOLDEN = {
     "run": {
-        "arf_metrics.csv": "ab4c2bd0a5688edf5759532883f76105f1e830563b4415cb5682d69ec5868a19",
-        "arf_online.model.json": "38f14310bba17c5494a0926ca4efab6e2a20b97bd89ce0a45b2ecb8fc525d591",
-        "arf_static.model.json": "143d80ecc06ba8288f3e9b110dcf214cdd2955b88753e03199225363a49f9032",
+        "arf_metrics.csv": "3ba28fd995130ae3b3aca76928df2b815959721c809da8642f9637fbfeb59dc9",
+        "arf_online.model.json": "821f425d481aee3f5ae2fd8f108abbffbe7c3339ad2f6e87c13bac65ab25a26c",
+        "arf_static.model.json": "16e0e57b17fc31480c2b145fcf0e45f29c0d2644809cdfbe7198c2365e731575",
         "drift_events.csv": "313ac95d1da087f0e12d577cfeebd4ac2314ccab94dba8aa3daa7cc486171a98",
         "lr_metrics.csv": "c79e42fd7c10428380ffc1fa3ee6efdddeebaa44d5718f7e45c9f1bff453459c",
         "lr_online.model.json": "c273048e232436d715d72eb15b80710aa498fb28af28c1ca2e3157abe51f8c82",

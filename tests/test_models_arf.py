@@ -3,7 +3,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from driftstream.errors import DriftStreamError, SnapshotError
 from driftstream.models import AdaptiveRandomForest, HoeffdingTree
 from driftstream.models.snapshot import restore_model, snapshot_dict, snapshot_json
 from driftstream.models.tree import _Leaf, _SplitNode
@@ -75,7 +78,7 @@ def test_forest_state_after_label_flip_matches_golden_hash():
         forest.learn_one(x, 1 - y if i >= 2000 else y)
     assert (forest.n_warnings, forest.n_replacements) == (7, 4)
     digest = hashlib.sha256(snapshot_json(forest).encode()).hexdigest()
-    assert digest == "d21223f65aed91e522d7b54547d456b49f3fdfe11852711c4c821af06fd21545"
+    assert digest == "b066fbc90c80a5eee975be3d8bc1ff6c65df3c2eb5463b4d4fa5a2ffa73bfd0f"
 
 
 def test_single_tree_reduction_equals_plain_tree():
@@ -168,3 +171,62 @@ def _leaves(node):
     if "split" in node:
         return _leaves(node["left"]) + _leaves(node["right"])
     return [node]
+
+
+def test_a_snapshot_from_before_per_slot_seeds_is_a_snapshot_error():
+    data = snapshot_dict(AdaptiveRandomForest(n_trees=2, seed=3))
+    state = data["state"]
+    state["seed_sequence"] = state.pop("slot_seeds")[0]  # the one shared sequence of the old layout
+    with pytest.raises(SnapshotError, match="slot_seeds") as exc:
+        restore_model(data)
+    assert exc.value.field == "slot_seeds"
+    assert isinstance(exc.value, DriftStreamError) and isinstance(exc.value, ValueError)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [("format", "other", "not a driftstream-model snapshot"), ("version", 0, "unsupported snapshot version: 0"),
+     ("kind", "svm", "unknown model kind: svm")],
+)
+def test_restore_rejects_a_foreign_snapshot_with_a_snapshot_error(field, value, message):
+    data = {**snapshot_dict(AdaptiveRandomForest(n_trees=1, seed=0)), field: value}
+    with pytest.raises(SnapshotError, match=message) as exc:
+        restore_model(data)
+    assert exc.value.field == field
+
+
+def slot_state(forest, i):
+    """Everything slot ``i`` of a snapshot holds: tree, background tree, both detectors, seed sequence."""
+    state = forest.to_state()
+    return [state[key][i] for key in ("trees", "background", "warn", "drift", "slot_seeds")]
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_trees=st.integers(1, 4),
+    n=st.integers(300, 700),
+    flip=st.floats(0.3, 0.7),
+)
+def test_each_slot_learns_alone_as_it_learns_in_the_whole_forest(seed, n_trees, n, flip):
+    # the label flip drives the detectors to warnings and replacements
+    stream = [(x, 1 - y if i >= flip * n else y) for i, (x, y) in enumerate(random_stream(n, seed % 1000))]
+    whole = AdaptiveRandomForest(n_trees=n_trees, seed=seed)
+    shares = []
+    for i in range(n_trees):
+        shares.append(AdaptiveRandomForest(n_trees=n_trees, seed=seed))
+        shares[-1].learning = range(i, i + 1)
+    for x, y in stream:
+        assert [p for share in shares for p in share.slot_scores(x)] == whole.slot_scores(x)
+        for forest in (whole, *shares):
+            forest.learn_one(x, y)
+    for i, share in enumerate(shares):
+        assert slot_state(share, i) == slot_state(whole, i)
+    assert sum(share.n_warnings for share in shares) == whole.n_warnings
+    assert sum(share.n_replacements for share in shares) == whole.n_replacements
+    # joined in any grouping, the shares are the whole forest
+    joined = shares[0]
+    for share in shares[1:]:
+        joined.join(share)
+    assert snapshot_json(joined) == snapshot_json(whole)
+    assert [joined.score_one(x) for x, _ in stream[:50]] == [whole.score_one(x) for x, _ in stream[:50]]

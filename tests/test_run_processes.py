@@ -16,8 +16,11 @@ import pytest
 
 from driftstream import cli
 from driftstream.cli import main
+from driftstream.config import load_config
 from driftstream.errors import NonFiniteInput, PrequentialAbort
 from driftstream.evaluation import prequential_run
+from driftstream.models import AdaptiveRandomForest, HoeffdingTree
+from driftstream.telemetry import to_features
 
 from conftest import one_cpu
 from test_cli import read_bytes_tree, write_config
@@ -146,11 +149,84 @@ def test_a_killed_child_exits_4_naming_the_model(tmp_path, monkeypatch, capsys, 
 
 def test_a_killed_child_of_three_models_exits_4_naming_its_models(tmp_path, monkeypatch, capsys, forks):
     killed_lr(monkeypatch)
+    received = []
+    run_arms = cli.prequential_run
+
+    def receiving(*args, share=None, **kwargs):
+        return run_arms(*args, share=lambda: received.append(share()) or received[-1], **kwargs)
+
+    monkeypatch.setattr(cli, "prequential_run", receiving)
     assert run(tmp_path, MODELS, "o") == 4
     assert_no_children()
     assert len(forks) == 1
+    assert len(received) == 1  # the child was killed after it handed over its share of arf
     err = capsys.readouterr().err
     assert err == f"error: models 'lr,nb': its process was killed by signal {int(signal.SIGKILL)} without a result\n"
+
+
+def took_a_share(monkeypatch):
+    """(model, whether it waited for the forked child's share of arf), per model run in this process."""
+    calls = []
+    run_model = cli._run_model
+
+    def recording(cfg, name, *args):
+        calls.append((name, args[-1] is not None))
+        return run_model(cfg, name, *args)
+
+    monkeypatch.setattr(cli, "_run_model", recording)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "models, n_trees, splits",
+    [
+        (MODELS, 1, False),  # the child's share rounds to no slot
+        (MODELS, 2, True),
+        (MODELS, 3, True),
+        (("nb", "arf"), 10, True),
+        (("arf", "lr"), 10, False),  # arf is not the model left in this process
+    ],
+)
+def test_a_split_forest_writes_the_bytes_of_a_one_cpu_run(tmp_path, monkeypatch, forks, models, n_trees, splits):
+    calls = took_a_share(monkeypatch)
+    cfg = write_config(tmp_path, {"arf": {"n_trees": n_trees}})
+    for out in ("forked", "inline"):
+        if out == "inline":
+            one_cpu(monkeypatch)
+        argv = ["run", "--config", cfg, "--models", ",".join(models), "--out", str(tmp_path / out), "--save-models"]
+        assert main([*argv, "--quiet"]) == 0
+        assert_no_children()
+    assert len(forks) == 1
+    assert calls == [(models[-1], splits)] + [(name, False) for name in models]
+    assert_forked_and_inline_runs_match(tmp_path)
+
+
+@pytest.mark.parametrize("segment, line", [("stream", "model error at stream index 3: "), ("pretrain", "")])
+def test_a_failing_share_in_the_child_exits_like_a_serial_run(tmp_path, monkeypatch, capsys, forks, segment, line):
+    # the last tree slot, one of the child's, fails on one event's features
+    cfg = write_config(tmp_path, {"models": list(MODELS)})
+    pretrain, stream, _, _ = cli._assemble(load_config(cfg))
+    fails_on = to_features(stream[3] if segment == "stream" else pretrain[0])
+    init, route = AdaptiveRandomForest.__init__, HoeffdingTree._route
+
+    def marked(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.trees[-1].fails_on = fails_on
+
+    def failing(self, x):
+        if getattr(self, "fails_on", None) == x:
+            raise NonFiniteInput("x")
+        return route(self, x)
+
+    monkeypatch.setattr(AdaptiveRandomForest, "__init__", marked)
+    monkeypatch.setattr(HoeffdingTree, "_route", failing)
+    assert run(tmp_path, MODELS, "forked") == 4
+    assert_no_children()
+    forked = capsys.readouterr().err
+    one_cpu(monkeypatch)
+    assert run(tmp_path, MODELS, "serial") == 4
+    assert capsys.readouterr().err == forked == f"error: {line}non-finite x\n"
+    assert len(forks) == 1
 
 
 def test_an_interrupted_child_leaves_without_a_traceback(tmp_path, monkeypatch, capfd, forks):
