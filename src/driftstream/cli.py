@@ -6,7 +6,7 @@ outputs so a run can be reproduced from the manifest alone. ``run``,
 ``bench`` and ``gen`` split their work by one rule, ``_run_forked``: on a
 host with ``os.fork`` and two usable CPUs, every model (or file) but the
 last goes to one forked child, and the last stays in this process. When arf
-is that last model, the child first trains a share of its tree slots and
+is that last model, the child first pretrains half of its tree slots and
 hands them over.
 """
 
@@ -34,7 +34,6 @@ from .evaluation import (
     export_report,
     latency_benchmark,
     prequential_run,
-    slot_share,
     write_latency_raw,
     write_latency_table,
 )
@@ -201,8 +200,9 @@ def _emit_summary(cfg: ExperimentConfig, summary: dict) -> None:
 def _run_model(cfg: ExperimentConfig, name: str, pretrain, stream, save_models: bool, slots=None, share=None) -> dict:
     """One model's static/online pair: write its report (and snapshots), return its summary entry.
 
-    ``slots``, if given, are the only forest slots this process trains, and
-    ``share`` waits for what the forked child's ``_arf_share`` made of the others.
+    ``slots``, if given, are the only forest slots this process pretrains,
+    and ``share`` waits for the forest the forked child pretrained on the
+    others.
     """
     static_model = _build(cfg, name, slots)
     online_model = _build(cfg, name, slots)
@@ -223,20 +223,19 @@ def _run_model(cfg: ExperimentConfig, name: str, pretrain, stream, save_models: 
     return {k: v for k, v in report.summary.items() if k != "window"}
 
 
-# The share of arf's tree slots that the forked child trains, from measured splits of the default
-# config: in run the child also runs lr and nb (about 0.45 s of CPU against arf's 1.0 s), in bench
-# it also pretrains and times them, while only arf's pretrain splits.
-_RUN_CHILD_SHARE = 0.3
-_BENCH_CHILD_SHARE = 0.5
+# The share of arf's tree slots that the forked child pretrains before its own models, in run and
+# bench alike: its half of the pretrain plus lr and nb about matches this process's half plus arf's
+# streamed arms (run) or timed trials (bench).
+_CHILD_SHARE = 0.5
 
 
-def _arf_split(cfg: ExperimentConfig, child_share: float) -> tuple:
+def _arf_split(cfg: ExperimentConfig) -> tuple:
     """(this process's slots, the forked child's slots) of arf; (None, None) unless arf is the last of several models.
 
     Nor does arf split if the child's share rounds to no slot, or to all.
     """
     n_trees = cfg.arf.n_trees
-    n_child = min(int(n_trees * child_share + 0.5), n_trees - 1)
+    n_child = min(int(n_trees * _CHILD_SHARE + 0.5), n_trees - 1)
     if len(cfg.models) < 2 or cfg.models[-1] != "arf" or n_child < 1:
         return None, None
     return range(n_trees - n_child), range(n_trees - n_child, n_trees)
@@ -319,8 +318,9 @@ def _run_forked(kind: str, names: list, run, first=None) -> dict:
     Then a forked child makes the ``run(names[:-1], None)`` call while the
     parent makes the ``run(names[-1:], receive)`` call, so no more processes
     than cores do the work. ``first``, if given, is a part of the last name's
-    work that the child does before its own names; ``receive()`` waits for
-    its ``_outcome``, which the child writes to an unnamed temporary file and
+    work that the child does before its own names (arf's pretrained last
+    slots, in ``run`` and ``bench``); ``receive()`` waits for its
+    ``_outcome``, which the child writes to an unnamed temporary file and
     announces with one byte on a pipe, so that it never waits for the parent
     to read it. The child sends its own names' ``_outcome`` last, then exits
     0; it always leaves through ``os._exit``, so it never returns into the
@@ -400,22 +400,22 @@ def cmd_run(cfg: ExperimentConfig, args: argparse.Namespace) -> None:
 
     The pairs share nothing once the streams are built, so on a host with
     two usable CPUs they run side by side. When arf is the last model, the
-    child first trains arf's last slots (``_arf_share``) and hands them over
-    before it runs its own models; this process trains the other slots and
-    adds the child's slot probabilities to its own. The outputs, stderr line
-    and exit code are those of a serial run.
+    child first pretrains arf's last slots and hands them over before it
+    runs its own models; this process pretrains the other slots, joins them
+    and streams the whole forest. The outputs, stderr line and exit code are
+    those of a serial run.
     """
     pretrain, stream, merged, boundary = _assemble(cfg)
     drift_events = _detect_drifts(cfg, merged)
     os.makedirs(cfg.out_dir, exist_ok=True)
     write_drift_csv(drift_events, os.path.join(cfg.out_dir, "drift_events.csv"))
-    head, tail = _arf_split(cfg, _RUN_CHILD_SHARE)
+    head, tail = _arf_split(cfg)
     entries = _run_forked(
         "model",
         cfg.models,
         lambda names, share: {n: _run_model(cfg, n, pretrain, stream, args.save_models, share and head, share)
                               for n in names},
-        tail and (lambda: _arf_share(cfg, tail, pretrain, stream)),
+        tail and (lambda: _pretrained(cfg, "arf", pretrain, tail)),
     )
     summary = {
         "window": cfg.window,
@@ -427,19 +427,6 @@ def cmd_run(cfg: ExperimentConfig, args: argparse.Namespace) -> None:
         json.dump(summary, fh, sort_keys=True, indent=2)
     if not args.quiet:
         _emit_summary(cfg, summary)
-
-
-def _arf_share(cfg: ExperimentConfig, slots: range, pretrain, stream) -> tuple:
-    """``slot_share`` of arf's static/online pair, learning only ``slots``: what ``_run_model``'s ``share`` returns."""
-    return slot_share(
-        _build(cfg, "arf", slots),
-        _build(cfg, "arf", slots),
-        pretrain,
-        stream,
-        cfg.window,
-        shuffle_seed=named_seed(cfg.seed, "pretrain-shuffle"),
-        epochs=cfg.epochs,
-    )
 
 
 def cmd_drift(cfg: ExperimentConfig, args: argparse.Namespace) -> None:
@@ -490,7 +477,7 @@ def cmd_bench(cfg: ExperimentConfig, args: argparse.Namespace) -> None:
     """
     pretrain, stream, _, _ = _assemble(cfg)
     sample_stream = stream[: cfg.bench.events_per_trial]
-    head, tail = _arf_split(cfg, _BENCH_CHILD_SHARE)
+    head, tail = _arf_split(cfg)
     report_of = _run_forked(
         "model",
         cfg.models,

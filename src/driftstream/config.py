@@ -114,7 +114,8 @@ class ExperimentConfig:
             ("pht.min_instances", pht.min_instances >= 0, "must be >= 0"),
             ("lr.learning_rate", self.lr.learning_rate > 0.0, "must be > 0"),
             ("nb.min_variance", self.nb.min_variance > 0.0, "must be > 0"),
-            ("arf.n_trees", arf.n_trees >= 1, "must be >= 1"),
+            # the forest spawns n_trees + 1 seed sequences, a count numpy takes as a C ssize_t
+            ("arf.n_trees", 1 <= arf.n_trees <= sys.maxsize - 1, "must be in [1, sys.maxsize - 1]"),
             ("arf.max_features", arf.max_features >= 1, "must be >= 1"),
             # numpy's Poisson sampler rejects rates above about 9.2e18
             ("arf.lambda_bag", 0.0 <= arf.lambda_bag <= 1e18, "must be in [0, 1e18]"),

@@ -17,17 +17,15 @@ import json
 import math
 import statistics
 import time
-from array import array
 from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from copy import deepcopy
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import DriftStreamError, EmptyWindow, NonFiniteInput, PrequentialAbort
+from .errors import EmptyWindow, NonFiniteInput, PrequentialAbort
 from .telemetry import TelemetryEvent, to_features
 
 DEFAULT_WINDOW = 500
@@ -168,6 +166,15 @@ def _pretrain(model, events: Sequence[TelemetryEvent], shuffle_seed: SeedLike, e
             model.learn_one(to_features(event), int(event.label))
 
 
+def _tail_accuracy(model, events: Sequence[TelemetryEvent], window: int) -> float:
+    tail = events[-window:]
+    correct = 0
+    for event in tail:
+        pred = 1 if model.score_one(to_features(event)) >= SCORE_THRESHOLD else 0
+        correct += pred == int(event.label)
+    return correct / len(tail)
+
+
 def prequential_run(
     static_model,
     online_model,
@@ -177,7 +184,7 @@ def prequential_run(
     *,
     shuffle_seed: SeedLike = None,
     epochs: int = 1,
-    share: Optional[Callable[[], tuple]] = None,
+    share: Optional[Callable[[], object]] = None,
 ) -> ExperimentReport:
     """Pretrain the model once on ``pretrain``, then stream ``stream``.
 
@@ -186,135 +193,46 @@ def prequential_run(
     pretrained attributes are then deep-copied into ``online_model``, so the
     caller's online object holds the same state without a second pass.
 
+    ``share``, for two forests that learn only some slots, returns the same
+    forest pretrained on the others; it is called once this pretrain ends,
+    and joined into ``static_model`` before anything is scored.
+
     Per stream event, in order: the static model scores, the online model
     scores, and only then the online model learns from the true label. The
     static model is never updated after pretraining. Both arms see the
     identical event sequence. Model exceptions abort with the failing index.
-
-    ``share``, for two forests that learn only their first slots, returns
-    what ``slot_share`` made of the others. Each score then adds the share's
-    slot probabilities to this process's in slot order, as ``score_one``
-    does, and the share's slots are joined into the arms. Of two failing
-    stream events the earlier is reported; at one event, this process's.
-    """
-    tail, static, online, failure = _score_arms(
-        static_model, online_model, pretrain, stream, window, shuffle_seed, epochs,
-        (lambda model, x: model.score_one(x)) if share is None else _slot_sum,
-    )
-    if share is not None:
-        failure = _join_share(static_model, online_model, (tail, static, online), failure, share())
-    return _fold(pretrain[-window:], tail, stream, static, online, failure, window)
-
-
-def _slot_sum(forest, x) -> float:
-    total = 0.0
-    for p in forest.slot_scores(x):
-        total += p
-    return total
-
-
-def _join_share(static_model, online_model, sums: tuple, failure, share: tuple):
-    """Join ``slot_share``'s forests into the arms and its probabilities into ``sums``; returns the earlier failure.
-
-    Each list of partial sums becomes forest scores, cut where the share's column ends.
-    """
-    static_share, online_share, columns, share_failure = share
-    static_model.join(static_share)
-    online_model.join(online_share)
-    width = len(static_share.learning)
-    for part, column in zip(sums, columns):
-        del part[len(column) // width :]
-        values = iter(column)
-        for i, total in enumerate(part):
-            for _ in range(width):
-                total += next(values)
-            part[i] = total / static_model.n_trees
-    if share_failure is not None and (failure is None or share_failure[0] < failure[0]):
-        return share_failure[0], DriftStreamError(share_failure[1])
-    return failure
-
-
-def _score_arms(static_model, online_model, pretrain, stream, window, shuffle_seed, epochs, score):
-    """The model work of a prequential run, with ``score(model, x)`` for each score.
-
-    Returns the static arm's scores of the last ``window`` pretrain events,
-    each arm's stream scores, and ``(index, error)`` of the first stream
-    event whose model call raised, where the lists stop, or None.
     """
     if static_model.to_state() != online_model.to_state():
         raise ValueError("static and online arms must start in the same state")
-    tail = []
+    _pretrain(static_model, pretrain, shuffle_seed, epochs)
+    if share is not None:
+        static_model.join(share())
+    arms = {"static": ArmSeries(), "online": ArmSeries()}
     if len(pretrain) > 0:
-        _pretrain(static_model, pretrain, shuffle_seed, epochs)
-        tail = [score(static_model, to_features(event)) for event in pretrain[-window:]]
+        sfd_end_accuracy = _tail_accuracy(static_model, pretrain, window)
+        arms["static"].sfd_end_accuracy = arms["online"].sfd_end_accuracy = sfd_end_accuracy
     online_model.__dict__ = deepcopy(static_model.__dict__)
 
-    static, online = [], []
+    metrics = {"static": RollingMetrics(window), "online": RollingMetrics(window)}
+    labels: list[int] = []
+
     for i, event in enumerate(stream):
         x = to_features(event)
         y = int(event.label)
         try:
-            s_static = score(static_model, x)
-            s_online = score(online_model, x)
+            s_static = static_model.score_one(x)
+            s_online = online_model.score_one(x)
             online_model.learn_one(x, y)
-        except Exception as err:  # reported with the failing stream position, after the events before it
-            return tail, static, online, (i, err)
-        static.append(s_static)
-        online.append(s_online)
-    return tail, static, online, None
-
-
-def slot_share(
-    static_model,
-    online_model,
-    pretrain: Sequence[TelemetryEvent],
-    stream: Sequence[TelemetryEvent],
-    window: int = DEFAULT_WINDOW,
-    *,
-    shuffle_seed: SeedLike = None,
-    epochs: int = 1,
-) -> tuple:
-    """``prequential_run``'s model work for the slots two forests learn, as its ``share`` returns it.
-
-    Returns both arms' forests; each scored event's slot probabilities in
-    slot order, in one column each for the pretrain tail, the static arm and
-    the online arm; and ``(index, error text)`` of the first failing stream
-    event, or None.
-    """
-    tail, static, online, failure = _score_arms(
-        static_model, online_model, pretrain, stream, window, shuffle_seed, epochs,
-        lambda forest, x: forest.slot_scores(x),
-    )
-    columns = tuple(array("d", chain.from_iterable(rows)) for rows in (tail, static, online))
-    return static_model, online_model, columns, failure and (failure[0], str(failure[1]))
-
-
-def _fold(tail_events, tail, stream, static, online, failure, window) -> ExperimentReport:
-    """The report of a run from its scores: the tail accuracy, then each event's windowed metrics in order."""
-    arms = {"static": ArmSeries(scores=static), "online": ArmSeries(scores=online)}
-    if tail:
-        correct = 0
-        for event, score in zip(tail_events, tail):
-            correct += (1 if score >= SCORE_THRESHOLD else 0) == int(event.label)
-        arms["static"].sfd_end_accuracy = arms["online"].sfd_end_accuracy = correct / len(tail)
-
-    metrics = {"static": RollingMetrics(window), "online": RollingMetrics(window)}
-    labels: list[int] = []
-    for i, (event, s_static, s_online) in enumerate(zip(stream, static, online)):
-        y = int(event.label)
-        try:
             for name, score in (("static", s_static), ("online", s_online)):
                 accuracy, auc, degenerate = metrics[name].update(y, score)
                 arm = arms[name]
+                arm.scores.append(score)
                 arm.accuracy.append(accuracy)
                 arm.auc.append(auc)
                 arm.auc_degenerate.append(degenerate)
         except Exception as err:  # propagate with the failing stream position
             raise PrequentialAbort(i, err) from err
         labels.append(y)
-    if failure is not None:
-        index, err = failure
-        raise PrequentialAbort(index, err) from err
 
     report = ExperimentReport(window=window, labels=labels, arms=arms)
     report.summary = _summarize(report)

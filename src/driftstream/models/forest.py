@@ -36,9 +36,8 @@ class AdaptiveRandomForest:
     samples and bagging weights, never on when other slots spawned, and runs
     are reproducible whichever slots learn together.
 
-    ``learning`` is the range of slots that ``learn_one`` updates and
-    ``slot_scores`` reports, every slot by default; ``learn_one`` still draws
-    every slot's bagging weight. A forest restricted to some slots is a
+    ``learning`` is the range of slots that ``learn_one`` updates, every
+    slot by default; ``learn_one`` still draws every slot's bagging weight. A forest restricted to some slots is a
     share, and ``join`` takes the slots another share of the same forest
     learned from the same samples.
 
@@ -125,19 +124,6 @@ class AdaptiveRandomForest:
             c0, c1 = node.counts  # the leaf's probability(), computed in place
             total += (c1 + 1.0) / (c0 + c1 + 2.0)
         return total / self.n_trees
-
-    def slot_scores(self, x: Sequence[float]) -> list[float]:
-        """The leaf probability of each learning slot's tree, in slot order; ``score_one`` averages every slot's."""
-        check_sample(x, self.n_features)
-        trees = self.trees
-        scores = []
-        for i in self.learning:
-            node = trees[i]._root
-            while node.__class__ is _SplitNode:
-                node = node.left if x[node.feature] <= node.threshold else node.right
-            c0, c1 = node.counts
-            scores.append((c1 + 1.0) / (c0 + c1 + 2.0))
-        return scores
 
     def join(self, share: "AdaptiveRandomForest") -> None:
         """Take the slots ``share`` learned, and its warnings and replacements; then learn every slot.

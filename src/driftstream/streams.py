@@ -422,9 +422,9 @@ def random_oversample(
 
 def _waterfall_ber(osnr_db: np.ndarray, cfg: SynthConfig, rng: np.random.Generator) -> np.ndarray:
     jitter = rng.standard_normal(osnr_db.shape) * cfg.ber_jitter_db
-    z = (osnr_db + jitter - cfg.waterfall_center_db) / cfg.waterfall_scale_db
-    # exp overflows harmlessly to inf for healthy OSNR -> ber underflows to 0
+    # z (for a tiny scale) and exp overflow harmlessly to inf for healthy OSNR -> ber underflows to 0
     with np.errstate(over="ignore"):
+        z = (osnr_db + jitter - cfg.waterfall_center_db) / cfg.waterfall_scale_db
         ber = cfg.ber_cap / (1.0 + np.exp(z))
     return ber
 

@@ -171,6 +171,16 @@ def test_the_largest_count_exits_4_as_out_of_memory(tmp_path, capsys, field):
     assert err.startswith("error: out of memory: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("models", ["arf", "lr,arf"])
+@pytest.mark.parametrize("n_trees", [sys.maxsize, 10**20])
+def test_a_forest_too_large_to_seed_exits_2_naming_the_field(tmp_path, capsys, models, n_trees):
+    # the forest would spawn n_trees + 1 seed sequences; numpy takes that count as a C ssize_t
+    cfg = write_config(tmp_path, {"arf": {"n_trees": n_trees}})
+    assert main(["run", "--config", cfg, "--models", models, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    assert capsys.readouterr().err == "config error: config field 'arf.n_trees': must be in [1, sys.maxsize - 1]\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_stream_too_large_to_allocate_exits_4_without_a_traceback(tmp_path, capsys):
     # numpy refuses the 7 PiB array at once, so nothing is allocated
     cfg = write_config(tmp_path, {"stream": {"synth": {"n_sfd": 10**15}}})

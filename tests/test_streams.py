@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -418,6 +419,15 @@ def test_integer_config_values_generate_the_same_events_as_floats(integers):
     by_int = generate_synthetic(SynthConfig(**SMALL, **integers), seed=7)
     by_float = generate_synthetic(SynthConfig(**SMALL, **floats), seed=7)
     assert [_fields(e) for e in by_int] == [_fields(e) for e in by_float]
+
+
+def test_a_tiny_waterfall_scale_generates_without_a_warning():
+    # z = (osnr - center) / scale overflows to +-inf, and the waterfall saturates at 0 or ber_cap
+    cfg = SynthConfig(**SMALL, waterfall_center_db=30.0, waterfall_scale_db=1e-320)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stream = generate_synthetic(cfg, seed=7)
+    assert {e.ber_rx for e in stream} | {e.ber_tx for e in stream} == {0.0, cfg.ber_cap}
 
 
 def test_different_seeds_differ():
