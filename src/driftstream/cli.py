@@ -3,11 +3,11 @@
 Every command resolves one ExperimentConfig (JSON file plus flag overrides),
 derives all randomness from the root seed, and writes a manifest next to its
 outputs so a run can be reproduced from the manifest alone. ``run``,
-``bench`` and ``gen`` split their work by one rule, ``_run_forked``: on a
-host with ``os.fork`` and two usable CPUs, every model (or file) but the
-last goes to one forked child, and the last stays in this process. When arf
-is that last model, the child first pretrains half of its tree slots and
-hands them over.
+``bench``, ``gen`` and the file-mode load split their work by one rule,
+``_run_forked``: on a host with ``os.fork`` and two usable CPUs, every model
+(or file) but the last goes to one forked child, and the last stays in this
+process. When arf is that last model, the child first pretrains half of its
+tree slots and hands them over.
 """
 
 from __future__ import annotations
@@ -38,13 +38,16 @@ from .evaluation import (
     write_latency_table,
 )
 from .streams import (
+    events_of,
     generate_synthetic_segments,
     load_csv,
     merge_sfd_hfd,
     random_oversample,
-    write_csv,
+    read_chunks,
+    synthetic_columns,
+    write_rows,
 )
-from .telemetry import Segment
+from .telemetry import Segment, serialize_fields
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -115,12 +118,25 @@ def _write_manifest(cfg: ExperimentConfig, command: str) -> None:
 
 
 def _load_segments(cfg: ExperimentConfig):
-    """Produce the two segments from files or the seeded generator."""
-    if cfg.stream.mode == "synth":
-        return generate_synthetic_segments(cfg.stream.synth, named_seed(cfg.seed, "generator"))
-    sfd = load_csv(cfg.stream.sfd_path, column_map=cfg.stream.column_map, default_segment=Segment.SFD)
-    hfd = load_csv(cfg.stream.hfd_path, column_map=cfg.stream.column_map, default_segment=Segment.HFD)
-    return sfd, hfd
+    """Produce the two segments from the seeded generator, or from files through ``_run_forked``.
+
+    In file mode a forked child reads sfd.csv, the first file and the
+    larger one on the benchmark's stream, while this process loads
+    hfd.csv. Only the child's parsed columns cross the pipe, since events
+    pickle about thirty times slower than the columns they are built from;
+    this process builds their events once they arrive.
+    """
+    stream = cfg.stream
+    if stream.mode == "synth":
+        return generate_synthetic_segments(stream.synth, named_seed(cfg.seed, "generator"))
+    files = {"sfd": (read_chunks, stream.sfd_path, Segment.SFD), "hfd": (load_csv, stream.hfd_path, Segment.HFD)}
+    segments = _run_forked(
+        "segment",
+        list(files),
+        lambda names, _: {name: load(path, column_map=stream.column_map, default_segment=segment)
+                          for name, (load, path, segment) in files.items() if name in names},
+    )
+    return events_of(segments["sfd"]), segments["hfd"]
 
 
 @contextlib.contextmanager
@@ -150,6 +166,8 @@ def _assemble(cfg: ExperimentConfig):
     """
     with _collector_paused():
         sfd, hfd = _load_segments(cfg)
+        if len(sfd) == 0:  # only a file can be empty: n_sfd is at least 1
+            raise ConfigError("stream.sfd_path", "the pretraining segment is empty")
         if len(hfd) == 0:
             field = "stream.synth.n_hfd" if cfg.stream.mode == "synth" else "stream.hfd_path"
             raise ConfigError(field, "the streamed segment is empty")
@@ -500,19 +518,24 @@ def cmd_bench(cfg: ExperimentConfig, args: argparse.Namespace) -> None:
 def cmd_gen(cfg: ExperimentConfig, args: argparse.Namespace) -> None:
     """Write the two synthetic segments; through ``_run_forked``, sfd.csv in a child process.
 
-    The files are independent, so on a host with two usable CPUs they are
-    written side by side. The bytes, stderr line and exit code are those of
-    a serial write; when both fail, the sfd error is reported.
+    The rows are written straight from the generator's columns, so no event
+    is built. The files are independent, so on a host with two usable CPUs
+    they are written side by side. The bytes, stderr line and exit code are
+    those of a serial write; when both fail, the sfd error is reported.
     """
     if cfg.stream.mode != "synth":
         raise ConfigError("stream.mode", "gen requires synth mode")
     paths = {name: os.path.join(cfg.out_dir, f"{name}.csv") for name in ("sfd", "hfd")}
     with _collector_paused():
-        segments = dict(zip(paths, _load_segments(cfg)))
+        columns = dict(zip(paths, synthetic_columns(cfg.stream.synth, named_seed(cfg.seed, "generator"))))
         os.makedirs(cfg.out_dir, exist_ok=True)
-        _run_forked("segment", list(paths), lambda names, _: {n: write_csv(segments[n], paths[n]) for n in names})
-        counts = {name: len(events) for name, events in segments.items()}
-        del segments  # freed while paused, so that no collection walks them once it ends
+        _run_forked(
+            "segment",
+            list(paths),
+            lambda names, _: {n: write_rows(map(serialize_fields, *columns[n]), paths[n]) for n in names},
+        )
+        counts = {name: len(cols[0]) for name, cols in columns.items()}
+        del columns  # freed while paused, so that no collection walks them once it ends
     if not args.quiet:
         payload = {
             "sfd_path": paths["sfd"],

@@ -29,8 +29,8 @@ import operator
 import re
 import sys
 from dataclasses import dataclass, field
-from itertools import islice, repeat
-from typing import Optional, Sequence, Union
+from itertools import islice
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -210,12 +210,32 @@ def load_csv(
     Rows are read in chunks of ``_CHUNK_ROWS``. When the mapped header
     names only canonical columns, each once and every required one, a
     chunk whose rows all have the header's length is parsed a column at a
-    time and checked whole (see ``_chunk_events``). A chunk that fails any
+    time and checked whole (see ``_chunk_columns``). A chunk that fails any
     step is validated again row by row through ``validate``, which alone
     defines a valid row and names the error.
     """
+    return events_of(read_chunks(path, column_map=column_map, default_segment=default_segment))
+
+
+def read_chunks(path: str, *, column_map: Optional[dict] = None, default_segment: Segment = Segment.SFD) -> list:
+    """``load_csv`` up to its events: one item per chunk, the chunk's parsed columns or the row loop's events.
+
+    A columns item is a tuple of lists (timestamps may be a range) in
+    ``TelemetryEvent`` field order, so the items pickle cheaply across a
+    fork; ``events_of`` builds the events.
+    """
     with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
-        return _read_events(csv.reader(fh), column_map, default_segment)
+        return _read_chunks(csv.reader(fh), column_map, default_segment)
+
+
+def events_of(chunks: list) -> list[TelemetryEvent]:
+    """The events of ``read_chunks``'s items, in order; each item is dropped from ``chunks`` once built."""
+    events: list[TelemetryEvent] = []
+    chunks.reverse()
+    while chunks:
+        chunk = chunks.pop()
+        events.extend(map(TelemetryEvent, *chunk) if isinstance(chunk, tuple) else chunk)
+    return events
 
 
 # the code points that errors="surrogateescape" gives undecodable bytes
@@ -226,15 +246,15 @@ def _unreadable(row_number: int, err: csv.Error) -> MalformedRow:
     return MalformedRow(row_number, DriftStreamError(f"unreadable CSV: {err}"))
 
 
-def _read_events(reader, column_map: Optional[dict], default_segment: Segment) -> list[TelemetryEvent]:
-    """The events of the header row and data rows that ``reader`` yields."""
-    events: list[TelemetryEvent] = []
+def _read_chunks(reader, column_map: Optional[dict], default_segment: Segment) -> list:
+    """The items of the header row and data rows that ``reader`` yields."""
+    chunks: list = []
     try:
         header = next(reader, None)
     except csv.Error as err:
         raise _unreadable(0, err) from None
     if header is None:
-        return events
+        return chunks
     if _UNDECODED.search("".join(header)):
         raise MalformedRow(0, DriftStreamError("bytes that are not UTF-8"))
     names = [column_map.get(key, key) for key in header] if column_map else header
@@ -251,27 +271,26 @@ def _read_events(reader, column_map: Optional[dict], default_segment: Segment) -
         except csv.Error as err:  # extend keeps the rows read before it
             error = err
         if rows := list(filter(None, chunk)):  # blank lines are skipped and not counted
-            parsed = _chunk_events(rows, positions, row_number, prev_ts, default_segment) if positions else None
-            if parsed is None:
-                _validate_rows(rows, names, row_number, prev_ts, default_segment, events)
-            else:
-                events.extend(parsed)
+            item = _chunk_columns(rows, positions, row_number, prev_ts, default_segment) if positions else None
+            if item is None:
+                item = _validate_rows(rows, names, row_number, prev_ts, default_segment)
+            chunks.append(item)
+            prev_ts = item[0][-1] if isinstance(item, tuple) else item[-1].timestamp
             row_number += len(rows)
-            prev_ts = events[-1].timestamp
         if error is not None:
             raise _unreadable(row_number + 1, error)
         if not chunk:
-            return events
+            return chunks
 
 
-def _chunk_events(
+def _chunk_columns(
     rows: list[list[str]],
     positions: dict[str, int],
     row_number: int,
     prev_ts: Optional[int],
     default_segment: Segment,
-) -> Optional[list[TelemetryEvent]]:
-    """The chunk's events if ``validate`` accepts every row, else None.
+) -> Optional[tuple]:
+    """The chunk's columns, in ``TelemetryEvent`` field order, if ``validate`` accepts every row, else None.
 
     Each column is parsed with the calls ``validate`` makes: ``float`` for
     the measurements, ``int`` for timestamps and exact text lookups for
@@ -295,7 +314,7 @@ def _chunk_events(
         if "segment" in positions:
             segments = list(map(SEGMENT_OF_TEXT.__getitem__, columns[positions["segment"]]))
         else:
-            segments = repeat(default_segment, len(rows))
+            segments = [default_segment] * len(rows)
     except (ValueError, KeyError):
         return None
     if not all(map(math.isfinite, map(sum, (ber_tx, osnr_tx, ber_rx, osnr_rx)))):
@@ -308,7 +327,7 @@ def _chunk_events(
         return None
     if not all(map(operator.lt, timestamps, islice(timestamps, 1, None))):
         return None
-    return list(map(TelemetryEvent, timestamps, ber_tx, osnr_tx, ber_rx, osnr_rx, labels, segments))
+    return timestamps, ber_tx, osnr_tx, ber_rx, osnr_rx, labels, segments
 
 
 def _validate_rows(
@@ -317,9 +336,9 @@ def _validate_rows(
     row_number: int,
     prev_ts: Optional[int],
     default_segment: Segment,
-    events: list[TelemetryEvent],
-) -> None:
-    """Validate rows one record at a time, appending to ``events``; the first bad row raises."""
+) -> list[TelemetryEvent]:
+    """Validate rows one record at a time into events; the first bad row raises."""
+    events = []
     n_names = len(names)
     for row in rows:
         row_number += 1
@@ -336,10 +355,16 @@ def _validate_rows(
             raise MalformedRow(row_number, OutOfRange("timestamp", event.timestamp))
         prev_ts = event.timestamp
         events.append(event)
+    return events
 
 
 def write_csv(events: Sequence[TelemetryEvent], path: str) -> None:
-    """Write events with full float precision (repr round-trips exactly).
+    """Write events with full float precision (repr round-trips exactly), through ``write_rows``."""
+    write_rows(map(serialize_row, events), path)
+
+
+def write_rows(rows: Iterable[Sequence[str]], path: str) -> None:
+    """Write the header, then each row of ``serialize_fields`` cells.
 
     The bytes are those of ``csv.writer``'s default dialect. No cell ever
     needs quoting (integers, float reprs and fixed label and segment
@@ -348,7 +373,7 @@ def write_csv(events: Sequence[TelemetryEvent], path: str) -> None:
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\r\n")
-        fh.writelines(",".join(serialize_row(event)) + "\r\n" for event in events)
+        fh.writelines(",".join(cells) + "\r\n" for cells in rows)
 
 
 def merge_sfd_hfd(
@@ -491,37 +516,38 @@ def _hfd_levels(cfg: SynthConfig, rng: np.random.Generator) -> tuple[np.ndarray,
     return osnr, labels
 
 
-def _build_events(
+def _segment_columns(
     osnr_rx: np.ndarray,
     labels: np.ndarray,
     segment: Segment,
     cfg: SynthConfig,
     rng: np.random.Generator,
-) -> list[TelemetryEvent]:
+) -> tuple:
     n = len(osnr_rx)
     osnr_rx = np.maximum(osnr_rx, 0.01)
     ber_rx = _waterfall_ber(osnr_rx, cfg, rng)
     osnr_tx = np.maximum(cfg.osnr_tx_mean + cfg.osnr_tx_std * rng.standard_normal(n), 0.01)
     ber_tx = _waterfall_ber(osnr_tx, cfg, rng)
-    return list(map(
-        TelemetryEvent, range(n), ber_tx.tolist(), osnr_tx.tolist(), ber_rx.tolist(), osnr_rx.tolist(),
-        map(LABELS.__getitem__, labels.tolist()), repeat(segment, n),
-    ))
+    return (
+        range(n), ber_tx.tolist(), osnr_tx.tolist(), ber_rx.tolist(), osnr_rx.tolist(),
+        list(map(LABELS.__getitem__, labels.tolist())), [segment] * n,
+    )
+
+
+def synthetic_columns(cfg: SynthConfig, seed: SeedLike = None) -> tuple[tuple, tuple]:
+    """The two segments' columns in ``TelemetryEvent`` field order (timestamps local to each)."""
+    cfg.validate()
+    rng = np.random.default_rng(seed)
+    sfd = _segment_columns(*_sfd_levels(cfg, rng), Segment.SFD, cfg, rng)
+    return sfd, _segment_columns(*_hfd_levels(cfg, rng), Segment.HFD, cfg, rng)
 
 
 def generate_synthetic_segments(
     cfg: SynthConfig, seed: SeedLike = None
 ) -> tuple[list[TelemetryEvent], list[TelemetryEvent]]:
     """Generate the two segments separately (timestamps local to each)."""
-    cfg.validate()
-    rng = np.random.default_rng(seed)
-    osnr_sfd, labels_sfd = _sfd_levels(cfg, rng)
-    sfd = _build_events(osnr_sfd, labels_sfd, Segment.SFD, cfg, rng)
-    if cfg.n_hfd == 0:
-        return sfd, []
-    osnr_hfd, labels_hfd = _hfd_levels(cfg, rng)
-    hfd = _build_events(osnr_hfd, labels_hfd, Segment.HFD, cfg, rng)
-    return sfd, hfd
+    sfd, hfd = synthetic_columns(cfg, seed)
+    return list(map(TelemetryEvent, *sfd)), list(map(TelemetryEvent, *hfd))
 
 
 def generate_synthetic(cfg: SynthConfig, seed: SeedLike = None) -> list[TelemetryEvent]:

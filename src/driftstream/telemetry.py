@@ -220,12 +220,21 @@ def serialize_row(event: TelemetryEvent) -> tuple[str, ...]:
     record, ``dict(zip(CSV_COLUMNS, serialize_row(e)))``, reproduces every
     field but ``meta`` bit for bit.
     """
+    return serialize_fields(
+        event.timestamp, event.ber_tx, event.osnr_tx, event.ber_rx, event.osnr_rx, event.label, event.segment
+    )
+
+
+def serialize_fields(
+    timestamp: int, ber_tx: float, osnr_tx: float, ber_rx: float, osnr_rx: float, label: Label, segment: Segment
+) -> tuple[str, ...]:
+    """``serialize_row`` of the event these fields would make, without making it."""
     return (
-        str(event.timestamp),
-        repr(event.ber_tx),
-        repr(event.osnr_tx),
-        repr(event.ber_rx),
-        repr(event.osnr_rx),
-        _LABEL_TEXT[event.label],
-        _SEGMENT_TEXT[event.segment],
+        str(timestamp),
+        repr(ber_tx),
+        repr(osnr_tx),
+        repr(ber_rx),
+        repr(osnr_rx),
+        _LABEL_TEXT[label],
+        _SEGMENT_TEXT[segment],
     )

@@ -97,15 +97,15 @@ def test_only_stream_building_and_writing_run_paused(tmp_path, monkeypatch):
 
         monkeypatch.setattr(cli, name, wrapper)
 
-    for name in ("merge_sfd_hfd", "write_csv", "latency_benchmark", "prequential_run"):
+    for name in ("merge_sfd_hfd", "write_rows", "latency_benchmark", "prequential_run"):
         recording(name, getattr(cli, name))
     monkeypatch.delattr(os, "fork")  # so that every call is made, and recorded, in this process
     assert gc.isenabled()
     for command in ("gen", "run", "bench"):
         assert main(cli_args(tmp_path, command)) == 0
     assert seen == [
-        ("write_csv", False),
-        ("write_csv", False),
+        ("write_rows", False),
+        ("write_rows", False),
         ("merge_sfd_hfd", False),
         ("prequential_run", True),
         ("prequential_run", True),

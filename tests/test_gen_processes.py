@@ -15,6 +15,8 @@ import pytest
 
 from driftstream import cli
 from driftstream.cli import main
+from driftstream.streams import SynthConfig, generate_synthetic_segments
+from driftstream.telemetry import TelemetryEvent
 
 from conftest import one_cpu
 from test_cli import read_bytes_tree, write_config
@@ -68,16 +70,33 @@ def test_an_unwritable_file_exits_3_like_inline_gen(tmp_path, monkeypatch, capsy
 
 
 def test_a_killed_child_exits_4_naming_the_segment(tmp_path, monkeypatch, capsys, forks):
-    write_csv = cli.write_csv
+    write_rows = cli.write_rows
 
-    def killed_sfd(events, path):
+    def killed_sfd(rows, path):
         if path.endswith("sfd.csv"):
             os.kill(os.getpid(), signal.SIGKILL)
-        write_csv(events, path)
+        write_rows(rows, path)
 
-    monkeypatch.setattr(cli, "write_csv", killed_sfd)
+    monkeypatch.setattr(cli, "write_rows", killed_sfd)
     assert main(["gen", "--config", write_config(tmp_path), "--out", str(tmp_path / "g")]) == 4
     assert_no_children()
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: segment 'sfd': its process was killed by signal {int(signal.SIGKILL)} without a result\n"
+
+
+def test_gen_builds_no_event(tmp_path, monkeypatch):
+    built = []
+    init = TelemetryEvent.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args[0])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(TelemetryEvent, "__init__", counted)
+    no_fork(monkeypatch)  # so that both files are written, and counted, in this process
+    assert main(["gen", "--config", write_config(tmp_path), "--out", str(tmp_path / "g"), "--quiet"]) == 0
+    assert built == []
+    assert (tmp_path / "g" / "sfd.csv").stat().st_size > 0 and (tmp_path / "g" / "hfd.csv").stat().st_size > 0
+    generate_synthetic_segments(SynthConfig(n_sfd=10, n_hfd=0, sfd_episodes=0), 1)
+    assert built == list(range(10))  # the count sees events the generator builds

@@ -1,0 +1,168 @@
+"""File-mode loads under the shared fork rule: sfd.csv is read in one forked child, hfd.csv in the parent.
+
+The child sends the parsed columns of its chunks, and the parent builds
+their events. Each forked load is compared with an inline one (``os.fork``
+deleted, or a host that reports one usable CPU): the same output bytes, the
+same events field by field, and on failure the same exit code and stderr
+line, with the sfd error first when both files fail. Forked runs take the
+``forks`` fixture, which reports two usable CPUs whatever the host has.
+After every call, no child process is left to reap.
+"""
+
+import os
+import signal
+
+import pytest
+
+from driftstream import cli, streams
+from driftstream.cli import main
+from driftstream.config import load_config
+from driftstream.streams import SynthConfig, generate_synthetic_segments, write_csv
+from driftstream.telemetry import Label, Segment
+
+from conftest import one_cpu
+from test_cli import read_bytes_tree, write_config
+from test_gen_processes import no_fork
+from test_run_processes import assert_no_children
+
+INLINE = {"no-fork": no_fork, "one-cpu": one_cpu}
+
+
+def write_segments(tmp_path, edit=None):
+    """A file-mode config over a small generated stream whose osnr_rx column is renamed.
+
+    ``edit(name, lines)``, if given, may change either file's lines first.
+    """
+    sfd, hfd = generate_synthetic_segments(SynthConfig(n_sfd=1500, n_hfd=800, sfd_episodes=2, hfd_episodes=2), 5)
+    stream = {"mode": "file", "column_map": {"OSNR_SPO2": "osnr_rx"}}
+    for name, events in (("sfd", sfd), ("hfd", hfd)):
+        path = tmp_path / f"{name}.csv"
+        write_csv(events, str(path))
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[0] = lines[0].replace("osnr_rx", "OSNR_SPO2")
+        if edit is not None:
+            edit(name, lines)
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        stream[f"{name}_path"] = str(path)
+    return write_config(tmp_path, {"stream": stream}, name="cfg_file.json")
+
+
+def set_cell(lines, row, column, value):
+    cells = lines[row].split(",")
+    cells[column] = value
+    lines[row] = ",".join(cells)
+
+
+def fields(events):
+    """Every field of every event, floats as hex and enums by identity, ``meta`` included."""
+    return [
+        (e.timestamp, *(v.hex() for v in (e.ber_tx, e.osnr_tx, e.ber_rx, e.osnr_rx)), id(e.label), id(e.segment), e.meta)
+        for e in events
+    ]
+
+
+@pytest.mark.parametrize("inline", INLINE.values(), ids=INLINE)
+@pytest.mark.parametrize("command, n_forks", [(["drift"], 1), (["run", "--save-models"], 2)], ids=["drift", "run"])
+def test_a_forked_load_writes_the_bytes_of_an_inline_one(tmp_path, monkeypatch, forks, inline, command, n_forks):
+    cfg = write_segments(tmp_path)
+    for out in ("forked", "inline"):
+        if out == "inline":
+            inline(monkeypatch)
+        assert main([*command, "--config", cfg, "--out", str(tmp_path / out), "--quiet"]) == 0
+        assert_no_children()
+    assert len(forks) == n_forks
+    forked, inline = read_bytes_tree(tmp_path / "forked"), read_bytes_tree(tmp_path / "inline")
+    forked.pop("manifest.json")  # it names the output directory
+    inline.pop("manifest.json")
+    assert forked == inline and "drift_events.csv" in forked
+
+
+BAD_ROW = {"sfd": 5, "hfd": 3}  # a data row of each file whose label is set to 2
+
+
+@pytest.mark.parametrize("inline", INLINE.values(), ids=INLINE)
+@pytest.mark.parametrize("bad", [("sfd",), ("hfd",), ("sfd", "hfd")])
+def test_a_bad_row_exits_like_an_inline_load(tmp_path, monkeypatch, capsys, forks, inline, bad):
+    def edit(name, lines):
+        if name in bad:
+            set_cell(lines, BAD_ROW[name], 5, "2")
+
+    cfg = write_segments(tmp_path, edit)
+    results = []
+    for out in ("forked", "inline"):
+        if out == "inline":
+            inline(monkeypatch)
+        results.append((main(["drift", "--config", cfg, "--out", str(tmp_path / out)]), capsys.readouterr()))
+        assert_no_children()
+    assert len(forks) == 1
+    (code, forked), (inline_code, inlined) = results
+    assert (code, forked.out, forked.err) == (inline_code, inlined.out, inlined.err)
+    assert code == 4 and forked.out == ""
+    assert forked.err == f"error: malformed row {BAD_ROW[bad[0]]}: value out of range for label: 2\n"
+
+
+def test_a_file_whose_chunks_mix_both_paths_loads_the_events_of_an_inline_load(tmp_path, monkeypatch, forks):
+    """sfd.csv's chunks mix the column path and the row loop; every hfd.csv row carries metadata."""
+
+    def edit(name, lines):
+        if name == "sfd":
+            set_cell(lines, 100, 5, "1.0")  # validate reads it as label 1; the column path does not
+        else:
+            lines[:] = [lines[0] + ",site", *(f"{line},rack-{i % 3}" for i, line in enumerate(lines[1:]))]
+
+    cfg = load_config(write_segments(tmp_path, edit))
+    monkeypatch.setattr(streams, "_CHUNK_ROWS", 64)
+    kinds = {
+        name: {type(item) for item in streams.read_chunks(path, column_map=cfg.stream.column_map)}
+        for name, path in (("sfd", cfg.stream.sfd_path), ("hfd", cfg.stream.hfd_path))
+    }
+    assert kinds == {"sfd": {tuple, list}, "hfd": {list}}
+    forked = cli._load_segments(cfg)
+    assert_no_children()
+    assert len(forks) == 1
+    no_fork(monkeypatch)
+    inline = cli._load_segments(cfg)
+    assert_no_children()
+    assert [fields(events) for events in forked] == [fields(events) for events in inline]
+    sfd, hfd = forked
+    assert sfd[99].label is Label.FAILURE  # the row spelled 1.0
+    assert {id(e.label) for e in sfd + hfd} == {id(label) for label in Label}
+    assert {id(e.segment) for e in sfd} == {id(Segment.SFD)} and {id(e.segment) for e in hfd} == {id(Segment.HFD)}
+    assert sfd[0].meta is None and hfd[4].meta == {"site": "rack-1"}
+
+
+def test_a_killed_child_exits_4_naming_the_segment(tmp_path, monkeypatch, capsys, forks):
+    read_chunks = cli.read_chunks
+
+    def killed_sfd(path, **kwargs):
+        if path.endswith("sfd.csv"):
+            os.kill(os.getpid(), signal.SIGKILL)
+        return read_chunks(path, **kwargs)
+
+    monkeypatch.setattr(cli, "read_chunks", killed_sfd)
+    assert main(["drift", "--config", write_segments(tmp_path), "--out", str(tmp_path / "o")]) == 4
+    assert_no_children()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: segment 'sfd': its process was killed by signal {int(signal.SIGKILL)} without a result\n"
+
+
+EMPTY = {"no-bytes": "", "header-only": "timestamp,ber_tx,osnr_tx,ber_rx,OSNR_SPO2,label,segment\n"}
+
+
+@pytest.mark.parametrize("content", EMPTY.values(), ids=EMPTY)
+@pytest.mark.parametrize(
+    "empty, field, segment",
+    [(("sfd",), "sfd_path", "pretraining"), (("sfd", "hfd"), "sfd_path", "pretraining"), (("hfd",), "hfd_path", "streamed")],
+)
+@pytest.mark.parametrize("command", ["drift", "run", "bench"])
+def test_an_empty_file_exits_2_naming_its_field(tmp_path, capsys, forks, command, empty, field, segment, content):
+    def edit(name, lines):
+        if name in empty:
+            lines[:] = content.splitlines()
+
+    cfg = write_segments(tmp_path, edit)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    assert_no_children()
+    assert capsys.readouterr().err == f"config error: config field 'stream.{field}': the {segment} segment is empty\n"
+    assert not (tmp_path / "o").exists()

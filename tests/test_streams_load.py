@@ -9,6 +9,7 @@ raise the same error for the same row, for any chunk size.
 """
 
 import csv
+import pickle
 import re
 from typing import Optional
 
@@ -190,6 +191,31 @@ def test_load_csv_equals_the_per_row_loop_for_any_chunk_size(tmp_path_factory, f
         for size in _CHUNK_SIZES:
             streams._CHUNK_ROWS = size
             assert _outcome(load_csv, path, **kwargs) == expected, size
+    finally:
+        streams._CHUNK_ROWS = default
+
+
+def _load_pickled_chunks(path, **kwargs):
+    """load_csv, with ``read_chunks``'s items sent through pickle as a forked child sends them."""
+    chunks = streams.read_chunks(path, **kwargs)
+    for chunk in chunks:  # nothing that pickles through itertools, which Python 3.14 stops pickling
+        assert isinstance(chunk, list) or all(type(column) in (list, range) for column in chunk)
+    return streams.events_of(pickle.loads(pickle.dumps(chunks)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_csv_files(), st.sampled_from(list(Segment)))
+def test_pickled_chunks_build_the_events_load_csv_returns(tmp_path_factory, file, default_segment):
+    text, column_map = file
+    path = str(tmp_path_factory.mktemp("load") / "seg.csv")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    kwargs = {"column_map": column_map, "default_segment": default_segment}
+    default = streams._CHUNK_ROWS
+    try:
+        for size in (1, 3, 4096):
+            streams._CHUNK_ROWS = size
+            assert _outcome(_load_pickled_chunks, path, **kwargs) == _outcome(load_csv, path, **kwargs), size
     finally:
         streams._CHUNK_ROWS = default
 
