@@ -6,8 +6,9 @@ outputs so a run can be reproduced from the manifest alone. ``run``,
 ``bench``, ``gen`` and the file-mode load split their work by one rule,
 ``_run_forked``: on a host with ``os.fork`` and two usable CPUs, every model
 (or file) but the last goes to one forked child, and the last stays in this
-process. When arf is that last model, the child first pretrains half of its
-tree slots and hands them over.
+process, and one pipe carries the child's results. When arf is that last
+model, the child first pretrains half of its tree slots and hands them over
+on the same pipe.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import os
 import pickle
 import signal
 import sys
-import tempfile
 import traceback
 
 from . import __version__
@@ -129,13 +129,11 @@ def _load_segments(cfg: ExperimentConfig):
     stream = cfg.stream
     if stream.mode == "synth":
         return generate_synthetic_segments(stream.synth, named_seed(cfg.seed, "generator"))
-    files = {"sfd": (read_chunks, stream.sfd_path, Segment.SFD), "hfd": (load_csv, stream.hfd_path, Segment.HFD)}
-    segments = _run_forked(
-        "segment",
-        list(files),
-        lambda names, _: {name: load(path, column_map=stream.column_map, default_segment=segment)
-                          for name, (load, path, segment) in files.items() if name in names},
-    )
+    loads = {
+        "sfd": lambda: read_chunks(stream.sfd_path, column_map=stream.column_map, default_segment=Segment.SFD),
+        "hfd": lambda: load_csv(stream.hfd_path, column_map=stream.column_map, default_segment=Segment.HFD),
+    }
+    segments = _run_forked("segment", list(loads), lambda name, _: loads[name]())
     return events_of(segments["sfd"]), segments["hfd"]
 
 
@@ -218,9 +216,7 @@ def _emit_summary(cfg: ExperimentConfig, summary: dict) -> None:
 def _run_model(cfg: ExperimentConfig, name: str, pretrain, stream, save_models: bool, slots=None, share=None) -> dict:
     """One model's static/online pair: write its report (and snapshots), return its summary entry.
 
-    ``slots``, if given, are the only forest slots this process pretrains,
-    and ``share`` waits for the forest the forked child pretrained on the
-    others.
+    ``slots`` and ``share``, if given, are arf's split from ``_run_models``.
     """
     static_model = _build(cfg, name, slots)
     online_model = _build(cfg, name, slots)
@@ -241,24 +237,6 @@ def _run_model(cfg: ExperimentConfig, name: str, pretrain, stream, save_models: 
     return {k: v for k, v in report.summary.items() if k != "window"}
 
 
-# The share of arf's tree slots that the forked child pretrains before its own models, in run and
-# bench alike: its half of the pretrain plus lr and nb about matches this process's half plus arf's
-# streamed arms (run) or timed trials (bench).
-_CHILD_SHARE = 0.5
-
-
-def _arf_split(cfg: ExperimentConfig) -> tuple:
-    """(this process's slots, the forked child's slots) of arf; (None, None) unless arf is the last of several models.
-
-    Nor does arf split if the child's share rounds to no slot, or to all.
-    """
-    n_trees = cfg.arf.n_trees
-    n_child = min(int(n_trees * _CHILD_SHARE + 0.5), n_trees - 1)
-    if len(cfg.models) < 2 or cfg.models[-1] != "arf" or n_child < 1:
-        return None, None
-    return range(n_trees - n_child), range(n_trees - n_child, n_trees)
-
-
 def _build(cfg: ExperimentConfig, name: str, slots=None):
     """``cfg.build_model(name)``; a forest that learns only ``slots``, if given."""
     model = cfg.build_model(name)
@@ -267,9 +245,11 @@ def _build(cfg: ExperimentConfig, name: str, slots=None):
     return model
 
 
-def _pretrained(cfg: ExperimentConfig, name: str, pretrain, slots=None):
+def _pretrained(cfg: ExperimentConfig, name: str, pretrain, slots=None, share=None):
     model = _build(cfg, name, slots)
     _pretrain(model, pretrain, named_seed(cfg.seed, "pretrain-shuffle"), cfg.epochs)
+    if share is not None:
+        model.join(share())
     return model
 
 
@@ -324,39 +304,32 @@ def _outcome(work) -> tuple:
         return ("failed", *status)
 
 
-def _pipe(owned: contextlib.ExitStack):
-    """(read end, write end) of a new pipe, as files that ``owned`` closes."""
-    read_fd, write_fd = os.pipe()
-    return owned.enter_context(os.fdopen(read_fd, "rb")), owned.enter_context(os.fdopen(write_fd, "wb"))
+def _run_forked(kind: str, names: list, work, first=None) -> dict:
+    """``{name: work(name, None) for name in names}``; with ``os.fork`` and two usable CPUs, in two processes.
 
-
-def _run_forked(kind: str, names: list, run, first=None) -> dict:
-    """``run(names, None)``, a dict keyed by name; with ``os.fork`` and two usable CPUs, in two processes.
-
-    Then a forked child makes the ``run(names[:-1], None)`` call while the
-    parent makes the ``run(names[-1:], receive)`` call, so no more processes
-    than cores do the work. ``first``, if given, is a part of the last name's
-    work that the child does before its own names (arf's pretrained last
-    slots, in ``run`` and ``bench``); ``receive()`` waits for its
-    ``_outcome``, which the child writes to an unnamed temporary file and
-    announces with one byte on a pipe, so that it never waits for the parent
-    to read it. The child sends its own names' ``_outcome`` last, then exits
-    0; it always leaves through ``os._exit``, so it never returns into the
-    caller's stack. A child that ends without a result is a DriftStreamError
-    naming the ``kind`` of work and its names. Its error wins over the
-    parent's, since its names come first. A fork, unlike a fresh interpreter,
+    Then a forked child makes the calls for ``names[:-1]`` while the parent
+    calls ``work(names[-1], receive)``, so no more processes than cores do
+    the work. ``first``, if given, is a part of the last name's work that the
+    child does before its own (arf's pretrained last slots, in ``run`` and
+    ``bench``). One pipe carries ``first``'s ``_outcome``, then the child's
+    names' ``_outcome``; ``receive()`` reads the first, and a parent that
+    failed before it called ``receive()`` drops it before it reads the
+    result. arf's share pickles to 23 KB on the default config, 30 KB at the
+    ingest sizes and 50 KB with 30 trees, inside a Linux pipe's 64 KiB
+    buffer; a larger share only makes the child wait for ``receive()``. The
+    child exits 0 after its result, and always through ``os._exit``, so it
+    never returns into the caller's stack. A child that ends without a
+    result is a DriftStreamError naming the ``kind`` of work and its names;
+    its error wins over the parent's, since its names come first. A fork
     inherits the built streams without a copy; the package starts no
     threads, and numpy's BLAS pool shuts down across a fork through its own
     fork handler.
     """
     if len(names) < 2 or not hasattr(os, "fork") or _usable_cpus() < 2:
-        return run(names, None)
-    forked = names[:-1]
-    with contextlib.ExitStack() as owned:
-        result, sink = _pipe(owned)
-        if first is not None:
-            announced, announce = _pipe(owned)
-            handover = owned.enter_context(tempfile.TemporaryFile())
+        return {name: work(name, None) for name in names}
+    forked, last = names[:-1], names[-1]
+    read_fd, write_fd = os.pipe()
+    with os.fdopen(read_fd, "rb") as result, os.fdopen(write_fd, "wb") as sink:
         sys.stdout.flush()  # so that the child holds no copy of unwritten output
         sys.stderr.flush()
         pid = os.fork()
@@ -364,38 +337,35 @@ def _run_forked(kind: str, names: list, run, first=None) -> dict:
             code = 1
             try:
                 if first is not None:
-                    pickle.dump(_outcome(first), handover)
-                    handover.flush()
-                    announce.write(b"!")
-                    announce.flush()
-                pickle.dump(_outcome(lambda: run(forked, None)), sink)
+                    pickle.dump(_outcome(first), sink)
+                    sink.flush()
+                pickle.dump(_outcome(lambda: {name: work(name, None) for name in forked}), sink)
                 sink.flush()
                 code = 0
             finally:
                 os._exit(code)
         sink.close()
-        receive = None
-        if first is not None:
-            announce.close()
+        unread = first is not None  # whether first's message is still in the pipe
 
-            def receive():
-                if announced.read(1) != b"!":  # the child ended first: its exit status is reported
-                    raise DriftStreamError("no share arrived")
-                handover.seek(0)
-                message = pickle.load(handover)
-                if message[0] != "ok":
-                    raise _ForkedFailure(*message[1:])
-                return message[1]
+        def read():
+            try:
+                return pickle.load(result)
+            except (EOFError, pickle.UnpicklingError):  # cut short or never sent: the exit status says why
+                return None
+
+        def receive():
+            nonlocal unread
+            unread = False
+            return _opened(read())
 
         try:
             try:
-                entries, error = run(names[-1:], receive), None
+                entries, error = {last: work(last, first and receive)}, None
             except Exception as err:
                 entries, error = {}, err
-            try:
-                message = pickle.load(result)
-            except (EOFError, pickle.UnpicklingError):  # cut short or never sent: the exit status says why
-                message = None
+            if unread:
+                read()
+            message = read()
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             pid = None
         finally:
@@ -406,34 +376,55 @@ def _run_forked(kind: str, names: list, run, first=None) -> dict:
         how = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
         group = f"{kind} {forked[0]!r}" if len(forked) == 1 else f"{kind}s {','.join(forked)!r}"
         raise DriftStreamError(f"{group}: its process {how} without a result")
-    if message[0] != "ok":
-        raise _ForkedFailure(*message[1:])
+    child_entries = _opened(message)
     if error is not None:
         raise error
-    return {**message[1], **entries}
+    return {**child_entries, **entries}
+
+
+def _opened(message):
+    """What an ``_outcome`` message from the child carries, or its failure raised."""
+    if message is None:  # the child ended first: its exit status is reported
+        raise DriftStreamError("no message arrived")
+    if message[0] != "ok":
+        raise _ForkedFailure(*message[1:])
+    return message[1]
+
+
+# The share of arf's tree slots that the forked child pretrains before its own models, in run and
+# bench alike: its half of the pretrain plus lr and nb about matches this process's half plus arf's
+# streamed arms (run) or timed trials (bench).
+_CHILD_SHARE = 0.5
+
+
+def _run_models(cfg: ExperimentConfig, pretrain, work) -> dict:
+    """``work(name, slots, share)`` per model through ``_run_forked``, with ``(None, None)`` unless arf splits.
+
+    When arf is the last of several models and they fork, the child first
+    pretrains arf's last ``_CHILD_SHARE`` of the slots, unless that rounds to
+    none or all, and this process's arf gets the others and the ``share``.
+    """
+    n_trees = cfg.arf.n_trees
+    n_child = min(int(n_trees * _CHILD_SHARE + 0.5), n_trees - 1)
+    head, tail = range(n_trees - n_child), range(n_trees - n_child, n_trees)
+    first = (lambda: _pretrained(cfg, "arf", pretrain, tail)) if cfg.models[-1] == "arf" and tail else None
+    return _run_forked("model", cfg.models, lambda name, share: work(name, share and head, share), first)
 
 
 def cmd_run(cfg: ExperimentConfig, args: argparse.Namespace) -> None:
-    """Run each model's static/online pair; through ``_run_forked``, all but the last in one child process.
+    """Run each model's static/online pair; through ``_run_models``, all but the last in one child process.
 
     The pairs share nothing once the streams are built, so on a host with
-    two usable CPUs they run side by side. When arf is the last model, the
-    child first pretrains arf's last slots and hands them over before it
-    runs its own models; this process pretrains the other slots, joins them
-    and streams the whole forest. The outputs, stderr line and exit code are
-    those of a serial run.
+    two usable CPUs they run side by side; a split arf is joined and
+    streamed whole in this process. The outputs, stderr line and exit code
+    are those of a serial run.
     """
     pretrain, stream, merged, boundary = _assemble(cfg)
     drift_events = _detect_drifts(cfg, merged)
     os.makedirs(cfg.out_dir, exist_ok=True)
     write_drift_csv(drift_events, os.path.join(cfg.out_dir, "drift_events.csv"))
-    head, tail = _arf_split(cfg)
-    entries = _run_forked(
-        "model",
-        cfg.models,
-        lambda names, share: {n: _run_model(cfg, n, pretrain, stream, args.save_models, share and head, share)
-                              for n in names},
-        tail and (lambda: _pretrained(cfg, "arf", pretrain, tail)),
+    entries = _run_models(
+        cfg, pretrain, lambda n, slots, share: _run_model(cfg, n, pretrain, stream, args.save_models, slots, share)
     )
     summary = {
         "window": cfg.window,
@@ -462,46 +453,26 @@ def cmd_drift(cfg: ExperimentConfig, args: argparse.Namespace) -> None:
         print(json.dumps(payload, sort_keys=True))
 
 
-def _time_models(cfg: ExperimentConfig, names: list, pretrain, sample_stream, slots=None, share=None):
-    """Build and pretrain ``names`` in order, then time them in one ``latency_benchmark`` call.
-
-    ``slots``, if given, are the only forest slots this process pretrains,
-    and ``share`` waits for the forest the forked child pretrained on the
-    others; the joined forest is timed.
-    """
-    models = {}
-    for name in names:
-        models[name] = _pretrained(cfg, name, pretrain, slots)
-        if share is not None:
-            models[name].join(share())
-    return latency_benchmark(
-        models,
-        sample_stream,
-        trials=cfg.bench.trials,
-        warmup_trials=cfg.bench.warmup_trials,
-    )
-
-
 def cmd_bench(cfg: ExperimentConfig, args: argparse.Namespace) -> None:
-    """Time each model; through ``_run_forked``, all but the last in one child process.
+    """Time each model; through ``_run_models``, all but the last in one child process.
 
     At most one timed process runs per core, since a third runnable process
-    on two cores puts time-slicing inside timed events. When arf is the last
-    model, the child first pretrains arf's last slots and hands them over;
-    this process pretrains the others, joins them and times the whole
-    forest, since a timed event cannot span two processes. Each model is
-    timed on its own copies, so the outputs, stderr line and exit code are
-    those of a serial run.
+    on two cores puts time-slicing inside timed events; a split arf is
+    joined and timed whole in this process, since a timed event cannot span
+    two processes. Each model is pretrained and timed on its own copies, so
+    the outputs, stderr line and exit code are those of a serial run.
     """
     pretrain, stream, _, _ = _assemble(cfg)
     sample_stream = stream[: cfg.bench.events_per_trial]
-    head, tail = _arf_split(cfg)
-    report_of = _run_forked(
-        "model",
-        cfg.models,
-        lambda names, share: dict.fromkeys(names, _time_models(cfg, names, pretrain, sample_stream, share and head,
-                                                               share)),
-        tail and (lambda: _pretrained(cfg, "arf", pretrain, tail)),
+    report_of = _run_models(
+        cfg,
+        pretrain,
+        lambda name, slots, share: latency_benchmark(
+            {name: _pretrained(cfg, name, pretrain, slots, share)},
+            sample_stream,
+            trials=cfg.bench.trials,
+            warmup_trials=cfg.bench.warmup_trials,
+        ),
     )
     report = dataclasses.replace(
         report_of[cfg.models[-1]],
@@ -529,11 +500,7 @@ def cmd_gen(cfg: ExperimentConfig, args: argparse.Namespace) -> None:
     with _collector_paused():
         columns = dict(zip(paths, synthetic_columns(cfg.stream.synth, named_seed(cfg.seed, "generator"))))
         os.makedirs(cfg.out_dir, exist_ok=True)
-        _run_forked(
-            "segment",
-            list(paths),
-            lambda names, _: {n: write_rows(map(serialize_fields, *columns[n]), paths[n]) for n in names},
-        )
+        _run_forked("segment", list(paths), lambda n, _: write_rows(map(serialize_fields, *columns[n]), paths[n]))
         counts = {name: len(cols[0]) for name, cols in columns.items()}
         del columns  # freed while paused, so that no collection walks them once it ends
     if not args.quiet:

@@ -103,6 +103,7 @@ class ExperimentConfig:
             ("window", 2 <= self.window <= sys.maxsize, "must be in [2, sys.maxsize]"),
             ("epochs", self.epochs >= 1, "must be >= 1"),
             ("format", self.format in VALID_FORMATS, f"must be one of {VALID_FORMATS}"),
+            ("out_dir", "\0" not in self.out_dir, "must not contain a NUL character"),
             ("seed", 0 <= self.seed <= 2**64 - 1, "must fit into an unsigned 64-bit integer"),
             ("bench.trials", bench.trials >= 1, "must be >= 1"),
             ("bench.events_per_trial", bench.events_per_trial >= 1, "must be >= 1"),
@@ -210,12 +211,22 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     return cfg
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict, where a repeated key is an error rather than its last value winning."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ConfigError("config", f"key {key!r} appears twice in one object")
+        data[key] = value
+    return data
+
+
 def load_config(path: str) -> ExperimentConfig:
     with open(path, encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise ConfigError("config", f"not valid JSON: {err}") from err
-        except UnicodeDecodeError as err:
+            data = json.load(fh, object_pairs_hook=_unique_keys)
+        except UnicodeDecodeError as err:  # a ValueError, as are bad syntax and an integer past the digit limit
             raise ConfigError("config", f"not UTF-8 text: {err}") from err
+        except (ValueError, RecursionError) as err:  # RecursionError: too deep a nesting
+            raise ConfigError("config", f"not valid JSON: {err}") from err
     return config_from_dict(data)

@@ -59,6 +59,7 @@ SeedLike = Union[int, np.random.SeedSequence, np.random.Generator, None]
 # the largest event count numpy sizes as an array of 8-byte items; above it numpy
 # raises ValueError, below it a count the host cannot hold raises MemoryError
 MAX_COUNT = sys.maxsize // 8
+MAX_DB = 1e6  # the largest size (dB) of a synthetic OSNR level, drop or spread: every value built from them is finite
 
 
 @dataclass
@@ -129,9 +130,12 @@ class SynthConfig:
              "prefix dip OSNR level must stay positive"),
             ("hfd_baseline_shift", normal - self.hfd_baseline_shift > 0.0,
              "shifted baseline OSNR level must stay positive"),
-            *((name, getattr(self, name) >= 0.0, "must be >= 0") for name in (
-                "osnr_normal_std", "plateau_std", "hfd_baseline_std", "prefix_dwell_std", "osnr_tx_std", "ber_jitter_db",
-            )),
+            *((name, abs(getattr(self, name)) <= MAX_DB, "must be in [-1e6, 1e6]") for name in (
+                "osnr_normal_mean", "osnr_soft_drop", "osnr_hard_drop", "prefix_overshoot_db", "hfd_baseline_shift",
+                "waterfall_center_db", "osnr_tx_mean")),
+            *((name, 0.0 <= getattr(self, name) <= MAX_DB, "must be in [0, 1e6]") for name in (
+                "osnr_normal_std", "plateau_std", "hfd_baseline_std", "prefix_dwell_std", "osnr_tx_std",
+                "ber_jitter_db")),
             ("ber_cap", 0.0 < self.ber_cap <= 1.0, "must be in (0, 1]"),
             ("waterfall_scale_db", self.waterfall_scale_db > 0.0, "must be > 0"),
         ])

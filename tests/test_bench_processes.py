@@ -132,16 +132,17 @@ def test_forked_bench_times_the_models_a_serial_bench_times(tmp_path, monkeypatc
 )
 def test_a_split_forest_is_timed_as_a_serial_bench_times_it(tmp_path, monkeypatch, forks, models, n_trees, splits):
     shares = []
-    time_models = cli._time_models
+    pretrained = cli._pretrained
 
-    def recording(cfg, names, *args):
-        shares.append(args[-1] is not None)
-        return time_models(cfg, names, *args)
+    def recording(cfg, name, pretrain, slots=None, share=None):
+        shares.append((name, share is not None))
+        return pretrained(cfg, name, pretrain, slots, share)
 
-    monkeypatch.setattr(cli, "_time_models", recording)
+    monkeypatch.setattr(cli, "_pretrained", recording)
     timed = timed_models(tmp_path, monkeypatch, models, {"arf": {"n_trees": n_trees}})
     assert len(forks) == 1
-    assert shares == [splits, False]  # the forked bench's parent, then the serial bench
+    # the forked bench's parent, then the serial bench
+    assert shares == [(models[-1], splits)] + [(name, False) for name in models]
     assert set(timed["forked"]) == set(models)
     assert timed["forked"] == timed["serial"]
 
@@ -236,9 +237,9 @@ class KilledWhilePickled:
 def test_a_result_cut_short_by_a_dying_child_exits_4_naming_its_models(tmp_path, monkeypatch, capsys, forks):
     def cut_short(models, *args, **kwargs):
         report = latency_benchmark(models, *args, **kwargs)
-        if "lr" in models:
-            # far more than one pickle frame is sent before the child dies
+        if "lr" in models:  # far more than one pickle frame is sent before the child dies on nb's report
             report.raw_ms["lr"]["online"].append([float(i) for i in range(200_000)])
+        if "nb" in models:
             report.raw_ms["nb"]["online"].append(KilledWhilePickled())
         return report
 

@@ -338,6 +338,11 @@ def test_config_section_shape_exit_codes(tmp_path, config, code):
         ({"stream": {"synth": {"prefix_ramp_len": -100}}}, "stream.synth.prefix_ramp_len"),
         ({"stream": {"synth": {"hfd_baseline_std": 10**29}}}, "stream.synth.hfd_baseline_std"),
         ({"stream": {"mode": "file", "sfd_path": "a\0b", "hfd_path": "b"}}, "stream.sfd_path"),
+        # spreads that made the generator overflow to inf
+        ({"stream": {"synth": {"osnr_normal_std": 1e308}}}, "stream.synth.osnr_normal_std"),
+        ({"stream": {"synth": {"osnr_tx_std": 1e308}}}, "stream.synth.osnr_tx_std"),
+        ({"stream": {"synth": {"ber_jitter_db": 1e308}}}, "stream.synth.ber_jitter_db"),
+        ({"stream": {"synth": {"osnr_normal_mean": 1e308}}}, "stream.synth.osnr_normal_mean"),
         # a field of a nested section used to be reported as 'stream'
         ({"oversample": {"target_failure_ratio": 0.9}}, "oversample.target_failure_ratio"),
         ({"stream": {"synth": {"n_sfd": 0}}}, "stream.synth.n_sfd"),
@@ -589,6 +594,51 @@ def test_a_config_file_that_is_not_utf8_exits_2(tmp_path, capsys):
     assert main(["drift", "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: config field 'config': not UTF-8 text") and err.count("\n") == 1
+
+
+# before Python's integer digit limit, the 5,001-digit seed parses and fails the seed's own rule
+DIGIT_LIMIT = "'config': not valid JSON: Exceeds the limit" if hasattr(sys, "get_int_max_str_digits") else "'seed'"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[" * 100_000 + "]" * 100_000, "'config': not valid JSON: maximum recursion depth exceeded"),
+        ('{"seed": 1' + "0" * 5000 + "}", DIGIT_LIMIT),
+        ('{"stream": {"synth": {"n_sfd": 400, "n_hfd": 300, "sfd_episodes": 1, "hfd_episodes": 1}}, '
+         '"stream": {"mode": "synth"}}', "'config': key 'stream' appears twice in one object"),
+        ('{"stream": {"mode": "synth", "mode": "file"}}', "'config': key 'mode' appears twice in one object"),
+    ],
+    ids=["nested-100000-deep", "5001-digit-int", "repeated-section", "repeated-leaf"],
+)
+def test_a_config_file_json_reads_badly_exits_2(tmp_path, capsys, text, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert main(["drift", "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config field {message}") and err.count("\n") == 1
+    assert not os.path.exists(tmp_path / "o")
+
+
+@pytest.mark.parametrize("command", ["run", "drift", "bench", "gen"])
+@pytest.mark.parametrize("source", ["config", "flag"])
+def test_a_nul_in_the_output_directory_exits_2_naming_the_field(tmp_path, monkeypatch, capsys, command, source):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, {"out_dir": "a\0b"} if source == "config" else {})
+    argv = [command, "--config", cfg, "--quiet"] + (["--out", "a\0b"] if source == "flag" else [])
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "config error: config field 'out_dir': must not contain a NUL character\n"
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("field", ["osnr_normal_std", "osnr_tx_std", "ber_jitter_db"])
+@pytest.mark.parametrize("command", ["gen", "drift", "run"])
+def test_a_spread_that_would_synthesize_inf_exits_2_with_one_line(tmp_path, capfd, command, field):
+    synth = {**SMALL_SYNTH["synth"], field: 1e308}
+    cfg = write_config(tmp_path, {"stream": {"mode": "synth", "synth": synth}})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    assert capfd.readouterr().err == f"config error: config field 'stream.synth.{field}': must be in [0, 1e6]\n"
+    assert not os.path.exists(tmp_path / "o")
 
 
 # Size caps: the edited file starts from VALID_CSV, 60 rows of about 30 bytes, and at

@@ -111,6 +111,7 @@ def test_only_stream_building_and_writing_run_paused(tmp_path, monkeypatch):
         ("prequential_run", True),
         ("merge_sfd_hfd", False),
         ("latency_benchmark", True),
+        ("latency_benchmark", True),
     ]
 
 

@@ -23,6 +23,7 @@ from driftstream.streams import (
     load_csv,
     merge_sfd_hfd,
     random_oversample,
+    synthetic_columns,
     write_csv,
 )
 from driftstream.telemetry import CSV_COLUMNS, Label, Segment, TelemetryEvent, serialize_row, to_features, validate
@@ -428,6 +429,25 @@ def test_a_tiny_waterfall_scale_generates_without_a_warning():
         warnings.simplefilter("error")
         stream = generate_synthetic(cfg, seed=7)
     assert {e.ber_rx for e in stream} | {e.ber_tx for e in stream} == {0.0, cfg.ber_cap}
+
+
+_FLOAT_FIELDS = [f.name for f in dataclasses.fields(SynthConfig) if f.type in (float, "float")]
+_EXTREME = st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1.0, -1.0, 1e6, -1e6, 1e6 + 1, 1e300, 1e308, -1e308])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.sampled_from(_FLOAT_FIELDS), _EXTREME | st.floats(), max_size=4), st.integers(0, 2**32 - 1))
+def test_a_synth_config_is_rejected_or_synthesizes_only_finite_values(overrides, seed):
+    cfg = SynthConfig(n_sfd=400, n_hfd=300, sfd_episodes=1, hfd_episodes=1, **overrides)
+    try:
+        cfg.validate()
+    except ConfigError:
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        columns = synthetic_columns(cfg, seed)
+    for segment in columns:
+        assert np.isfinite(np.array(segment[1:5], dtype=float)).all()
 
 
 def test_different_seeds_differ():
