@@ -6,9 +6,9 @@ outputs so a run can be reproduced from the manifest alone. ``run``,
 ``bench``, ``gen`` and the file-mode load split their work by one rule,
 ``_run_forked``: on a host with ``os.fork`` and two usable CPUs, every model
 (or file) but the last goes to one forked child, and the last stays in this
-process, and one pipe carries the child's results. When arf is that last
-model, the child first pretrains half of its tree slots and hands them over
-on the same pipe.
+process, and one pipe carries the child's messages, its result last. When
+arf is that last model, the child first pretrains the last half of its tree
+slots (rounded down) and hands them over on the same pipe.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import traceback
 
 from . import __version__
 from .config import VALID_FORMATS, VALID_MODELS, ExperimentConfig, load_config, named_seed
-from .drift import Direction, detect_drifts_per_class, write_drift_csv
+from .drift import detect_drifts_per_class, write_drift_csv
 from .errors import ConfigError, DriftStreamError
 from .models import save_model
 from .evaluation import (
@@ -181,17 +181,6 @@ def _assemble(cfg: ExperimentConfig):
     return merged[:boundary], merged[boundary:], merged, boundary
 
 
-def _detect_drifts(cfg: ExperimentConfig, merged):
-    return detect_drifts_per_class(
-        merged,
-        cfg.pht.feature_index,
-        delta=cfg.pht.delta,
-        threshold=cfg.pht.threshold,
-        min_instances=cfg.pht.min_instances,
-        direction=Direction(cfg.pht.direction),
-    )
-
-
 def _emit_summary(cfg: ExperimentConfig, summary: dict) -> None:
     if cfg.format == "json":
         print(json.dumps(summary, sort_keys=True))
@@ -247,9 +236,7 @@ def _build(cfg: ExperimentConfig, name: str, slots=None):
 
 def _pretrained(cfg: ExperimentConfig, name: str, pretrain, slots=None, share=None):
     model = _build(cfg, name, slots)
-    _pretrain(model, pretrain, named_seed(cfg.seed, "pretrain-shuffle"), cfg.epochs)
-    if share is not None:
-        model.join(share())
+    _pretrain(model, pretrain, named_seed(cfg.seed, "pretrain-shuffle"), cfg.epochs, share)
     return model
 
 
@@ -312,11 +299,12 @@ def _run_forked(kind: str, names: list, work, first=None) -> dict:
     the work. ``first``, if given, is a part of the last name's work that the
     child does before its own (arf's pretrained last slots, in ``run`` and
     ``bench``). One pipe carries ``first``'s ``_outcome``, then the child's
-    names' ``_outcome``; ``receive()`` reads the first, and a parent that
-    failed before it called ``receive()`` drops it before it reads the
-    result. arf's share pickles to 23 KB on the default config, 30 KB at the
-    ingest sizes and 50 KB with 30 trees, inside a Linux pipe's 64 KiB
-    buffer; a larger share only makes the child wait for ``receive()``. The
+    names' ``_outcome``, and the parent reads it as one stream of messages:
+    ``receive()`` opens the next one, and once the parent's own work ends,
+    whether or not it called ``receive()``, the last one left is the result.
+    arf's share pickles to 23 KB on the default config, 30 KB at the ingest
+    sizes and 50 KB with 30 trees, inside a Linux pipe's 64 KiB buffer; a
+    larger share only makes the child wait for the parent to read it. The
     child exits 0 after its result, and always through ``os._exit``, so it
     never returns into the caller's stack. A child that ends without a
     result is a DriftStreamError naming the ``kind`` of work and its names;
@@ -345,27 +333,21 @@ def _run_forked(kind: str, names: list, work, first=None) -> dict:
             finally:
                 os._exit(code)
         sink.close()
-        unread = first is not None  # whether first's message is still in the pipe
 
         def read():
-            try:
-                return pickle.load(result)
-            except (EOFError, pickle.UnpicklingError):  # cut short or never sent: the exit status says why
-                return None
+            with contextlib.suppress(EOFError, pickle.UnpicklingError):  # cut short: the exit status says why
+                while True:
+                    yield pickle.load(result)
 
-        def receive():
-            nonlocal unread
-            unread = False
-            return _opened(read())
-
+        messages = read()
         try:
             try:
-                entries, error = {last: work(last, first and receive)}, None
+                entries, error = {last: work(last, first and (lambda: _opened(next(messages, None))))}, None
             except Exception as err:
                 entries, error = {}, err
-            if unread:
-                read()
-            message = read()
+            message = None
+            for message in messages:  # the last one left is the child's result
+                pass
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             pid = None
         finally:
@@ -391,22 +373,17 @@ def _opened(message):
     return message[1]
 
 
-# The share of arf's tree slots that the forked child pretrains before its own models, in run and
-# bench alike: its half of the pretrain plus lr and nb about matches this process's half plus arf's
-# streamed arms (run) or timed trials (bench).
-_CHILD_SHARE = 0.5
-
-
 def _run_models(cfg: ExperimentConfig, pretrain, work) -> dict:
     """``work(name, slots, share)`` per model through ``_run_forked``, with ``(None, None)`` unless arf splits.
 
     When arf is the last of several models and they fork, the child first
-    pretrains arf's last ``_CHILD_SHARE`` of the slots, unless that rounds to
-    none or all, and this process's arf gets the others and the ``share``.
+    pretrains arf's last ``n_trees // 2`` slots, if any, and this process's
+    arf gets the others and the ``share``.
     """
-    n_trees = cfg.arf.n_trees
-    n_child = min(int(n_trees * _CHILD_SHARE + 0.5), n_trees - 1)
-    head, tail = range(n_trees - n_child), range(n_trees - n_child, n_trees)
+    # Half the slots, in run and bench alike: the child's half of the pretrain plus lr and nb about
+    # matches this process's half plus arf's streamed arms (run) or timed trials (bench).
+    split = cfg.arf.n_trees - cfg.arf.n_trees // 2
+    head, tail = range(split), range(split, cfg.arf.n_trees)
     first = (lambda: _pretrained(cfg, "arf", pretrain, tail)) if cfg.models[-1] == "arf" and tail else None
     return _run_forked("model", cfg.models, lambda name, share: work(name, share and head, share), first)
 
@@ -420,7 +397,7 @@ def cmd_run(cfg: ExperimentConfig, args: argparse.Namespace) -> None:
     are those of a serial run.
     """
     pretrain, stream, merged, boundary = _assemble(cfg)
-    drift_events = _detect_drifts(cfg, merged)
+    drift_events = detect_drifts_per_class(merged, **dataclasses.asdict(cfg.pht))
     os.makedirs(cfg.out_dir, exist_ok=True)
     write_drift_csv(drift_events, os.path.join(cfg.out_dir, "drift_events.csv"))
     entries = _run_models(
@@ -440,7 +417,7 @@ def cmd_run(cfg: ExperimentConfig, args: argparse.Namespace) -> None:
 
 def cmd_drift(cfg: ExperimentConfig, args: argparse.Namespace) -> None:
     _, _, merged, boundary = _assemble(cfg)
-    drift_events = _detect_drifts(cfg, merged)
+    drift_events = detect_drifts_per_class(merged, **dataclasses.asdict(cfg.pht))
     os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, "drift_events.csv")
     write_drift_csv(drift_events, path)

@@ -18,7 +18,7 @@ from typing import Optional, Union, get_args, get_origin, get_type_hints
 import numpy as np
 
 from .drift import Direction
-from .errors import ConfigError, check_fields
+from .errors import ConfigError, check_fields, shortened
 from .models import AdaptiveRandomForest, GaussianNB, LogisticRegression
 from .streams import OversampleConfig, StreamConfig
 from .telemetry import N_FEATURES, OSNR_RX_INDEX
@@ -97,19 +97,20 @@ class ExperimentConfig:
         pht, arf, bench = self.pht, self.arf, self.bench
         check_fields("", [
             ("models", bool(self.models), "select at least one model"),
-            *(("models", name in VALID_MODELS, f"unknown model name {name!r}; valid: {VALID_MODELS}")
+            *(("models", name in VALID_MODELS, f"unknown model name {shortened(name)}; valid: {VALID_MODELS}")
               for name in self.models),
             ("models", len(set(self.models)) == len(self.models), "each model may be named only once"),
             ("window", 2 <= self.window <= sys.maxsize, "must be in [2, sys.maxsize]"),
             ("epochs", self.epochs >= 1, "must be >= 1"),
             ("format", self.format in VALID_FORMATS, f"must be one of {VALID_FORMATS}"),
+            ("out_dir", self.out_dir != "", "must not be empty"),
             ("out_dir", "\0" not in self.out_dir, "must not contain a NUL character"),
             ("seed", 0 <= self.seed <= 2**64 - 1, "must fit into an unsigned 64-bit integer"),
             ("bench.trials", bench.trials >= 1, "must be >= 1"),
             ("bench.events_per_trial", bench.events_per_trial >= 1, "must be >= 1"),
             ("bench.warmup_trials", bench.warmup_trials >= 0, "must be >= 0"),
             ("pht.feature_index", 0 <= pht.feature_index < N_FEATURES, f"must be in [0, {N_FEATURES})"),
-            ("pht.direction", pht.direction in VALID_DIRECTIONS, f"unknown direction {pht.direction!r}"),
+            ("pht.direction", pht.direction in VALID_DIRECTIONS, f"unknown direction {shortened(pht.direction)}"),
             ("pht.delta", pht.delta >= 0.0, "must be >= 0"),
             ("pht.threshold", pht.threshold > 0.0, "must be > 0"),
             ("pht.min_instances", pht.min_instances >= 0, "must be >= 0"),
@@ -144,7 +145,7 @@ class ExperimentConfig:
             return AdaptiveRandomForest(
                 n_features=N_FEATURES, **asdict(self.arf), seed=named_seed(self.seed, f"model:{name}")
             )
-        raise ConfigError("models", f"unknown model name {name!r}")
+        raise ConfigError("models", f"unknown model name {shortened(name)}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -202,7 +203,7 @@ def _apply_section(target, data, section: str) -> None:
         elif _has_type(value, types[key]):
             setattr(target, key, value)
         else:
-            raise ConfigError(name, f"must be of type {_type_name(types[key])}, got {value!r}")
+            raise ConfigError(name, f"must be of type {_type_name(types[key])}, got {shortened(value)}")
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -216,7 +217,7 @@ def _unique_keys(pairs: list) -> dict:
     data = {}
     for key, value in pairs:
         if key in data:
-            raise ConfigError("config", f"key {key!r} appears twice in one object")
+            raise ConfigError("config", f"key {shortened(key)} appears twice in one object")
         data[key] = value
     return data
 

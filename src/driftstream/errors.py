@@ -7,6 +7,12 @@ class DriftStreamError(Exception):
     """Base class for all driftstream errors."""
 
 
+def shortened(value, limit: int = 100) -> str:
+    """``repr(value)``, cut to its first ``limit`` characters and ``…``: an error line quotes bounded input."""
+    text = repr(value)
+    return text if len(text) <= limit else text[:limit] + "…"
+
+
 class MissingField(DriftStreamError):
     def __init__(self, field: str):
         super().__init__(f"missing required field: {field}")
@@ -15,14 +21,14 @@ class MissingField(DriftStreamError):
 
 class OutOfRange(DriftStreamError):
     def __init__(self, field: str, value: float):
-        super().__init__(f"value out of range for {field}: {value}")
+        super().__init__(f"value out of range for {field}: {shortened(value)}")
         self.field = field
         self.value = value
 
 
 class UnparsableNumber(DriftStreamError):
     def __init__(self, field: str, raw: str = ""):
-        super().__init__(f"cannot parse number for {field}: {raw!r}")
+        super().__init__(f"cannot parse number for {field}: {shortened(raw)}")
         self.field = field
         self.raw = raw
 
@@ -67,7 +73,7 @@ class ConfigError(DriftStreamError):
     """Experiment configuration error; names the offending dotted field."""
 
     def __init__(self, field: str, reason: str):
-        super().__init__(f"config field '{field}': {reason}")
+        super().__init__(f"config field {shortened(field)}: {reason}")
         self.field = field
         self.reason = reason
 

@@ -157,13 +157,15 @@ class ExperimentReport:
     summary: dict = field(default_factory=dict)
 
 
-def _pretrain(model, events: Sequence[TelemetryEvent], shuffle_seed: SeedLike, epochs: int) -> None:
-    """``epochs`` passes over ``events`` in one order drawn from ``shuffle_seed``."""
+def _pretrain(model, events: Sequence[TelemetryEvent], shuffle_seed: SeedLike, epochs: int, share=None) -> None:
+    """``epochs`` passes over ``events`` in one order drawn from ``shuffle_seed``; then ``share()``'s slots joined."""
     order = np.random.default_rng(shuffle_seed).permutation(len(events))
     for _ in range(epochs):
         for idx in order:
             event = events[int(idx)]
             model.learn_one(to_features(event), int(event.label))
+    if share is not None:
+        model.join(share())
 
 
 def _tail_accuracy(model, events: Sequence[TelemetryEvent], window: int) -> float:
@@ -193,9 +195,8 @@ def prequential_run(
     pretrained attributes are then deep-copied into ``online_model``, so the
     caller's online object holds the same state without a second pass.
 
-    ``share``, for two forests that learn only some slots, returns the same
-    forest pretrained on the others; it is called once this pretrain ends,
-    and joined into ``static_model`` before anything is scored.
+    ``share``, for two forests that learn only some slots, is ``_pretrain``'s:
+    the other slots are joined into ``static_model`` before anything is scored.
 
     Per stream event, in order: the static model scores, the online model
     scores, and only then the online model learns from the true label. The
@@ -204,9 +205,7 @@ def prequential_run(
     """
     if static_model.to_state() != online_model.to_state():
         raise ValueError("static and online arms must start in the same state")
-    _pretrain(static_model, pretrain, shuffle_seed, epochs)
-    if share is not None:
-        static_model.join(share())
+    _pretrain(static_model, pretrain, shuffle_seed, epochs, share)
     arms = {"static": ArmSeries(), "online": ArmSeries()}
     if len(pretrain) > 0:
         sfd_end_accuracy = _tail_accuracy(static_model, pretrain, window)

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import math
 
+from .errors import NonFiniteInput
+
 
 class RunningStats:
     """Single-pass mean/variance accumulator (Welford, weight-aware).
@@ -47,12 +49,14 @@ class RunningStats:
 
 
 def sigmoid(z: float) -> float:
-    """Numerically stable logistic function."""
+    """Numerically stable logistic function; a NaN log-odds raises NonFiniteInput."""
     if z >= 0.0:
         ez = math.exp(-z) if z < 745.0 else 0.0
         return 1.0 / (1.0 + ez)
-    ez = math.exp(z) if z > -745.0 else 0.0
-    return ez / (1.0 + ez)
+    if z < 0.0:
+        ez = math.exp(z) if z > -745.0 else 0.0
+        return ez / (1.0 + ez)
+    raise NonFiniteInput("log-odds")
 
 
 def welford_from_state(counts, stats, count_name: str) -> tuple[list[list[float]], list[list[float]]]:

@@ -41,6 +41,7 @@ from .errors import (
     NoFailureSamples,
     OutOfRange,
     check_fields,
+    shortened,
 )
 from .telemetry import (
     CSV_COLUMNS,
@@ -173,7 +174,7 @@ class StreamConfig:
             self.synth.validate()
             return
         check_fields("stream", [
-            ("mode", self.mode == "file", f"unknown stream mode: {self.mode}"),
+            ("mode", self.mode == "file", f"unknown stream mode: {shortened(self.mode)}"),
             ("sfd_path", bool(self.sfd_path), "file mode needs both sfd_path and hfd_path"),
             ("hfd_path", bool(self.hfd_path), "file mode needs both sfd_path and hfd_path"),
             ("sfd_path", "\0" not in (self.sfd_path or ""), "must not contain a NUL character"),

@@ -622,13 +622,50 @@ def test_a_config_file_json_reads_badly_exits_2(tmp_path, capsys, text, message)
 
 @pytest.mark.parametrize("command", ["run", "drift", "bench", "gen"])
 @pytest.mark.parametrize("source", ["config", "flag"])
-def test_a_nul_in_the_output_directory_exits_2_naming_the_field(tmp_path, monkeypatch, capsys, command, source):
+@pytest.mark.parametrize(
+    "out, rule", [("a\0b", "must not contain a NUL character"), ("", "must not be empty")], ids=["nul", "empty"]
+)
+def test_a_nul_in_the_output_directory_exits_2_naming_the_field(tmp_path, monkeypatch, capsys, command, source, out, rule):
     monkeypatch.chdir(tmp_path)
-    cfg = write_config(tmp_path, {"out_dir": "a\0b"} if source == "config" else {})
-    argv = [command, "--config", cfg, "--quiet"] + (["--out", "a\0b"] if source == "flag" else [])
+    cfg = write_config(tmp_path, {"out_dir": out} if source == "config" else {})
+    argv = [command, "--config", cfg, "--quiet"] + (["--out", out] if source == "flag" else [])
     assert main(argv) == 2
-    assert capsys.readouterr().err == "config error: config field 'out_dir': must not contain a NUL character\n"
+    assert capsys.readouterr().err == f"config error: config field 'out_dir': {rule}\n"
     assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+LONG = "x" * 10_000
+
+
+@pytest.mark.parametrize(
+    "config, flags, hfd, code, start",
+    [
+        ({LONG: 1}, [], None, 2, "config error: config field 'xxxx"),
+        ({"pht": {LONG: 1}}, [], None, 2, "config error: config field 'pht.xxxx"),
+        ({"seed": LONG}, [], None, 2, "config error: config field 'seed': must be of type int, got 'xxxx"),
+        ({"models": [LONG]}, [], None, 2, "config error: config field 'models': unknown model name 'xxxx"),
+        ({}, ["--models", LONG], None, 2, "config error: config field 'models': unknown model name 'xxxx"),
+        ({"pht": {"direction": LONG}}, [], None, 2, "config error: config field 'pht.direction': unknown direction 'xxxx"),
+        ({"stream": {"mode": LONG}}, [], None, 2, "config error: config field 'stream.mode': unknown stream mode: 'xxxx"),
+        (f'{{"{LONG}": 1, "{LONG}": 1}}', [], None, 2, "config error: config field 'config': key 'xxxx"),
+        (None, [], f"3,1e-9,32.0,1e-6,{LONG},0,SFD", 4, "error: malformed row 4: cannot parse number for osnr_rx: 'xxxx"),
+        (None, [], f"3,1e-9,32.0,1e-6,25.0,0,{LONG}", 4, "error: malformed row 4: value out of range for segment: 'xxxx"),
+    ],
+    ids=["unknown-key", "unknown-nested-key", "wrong-type", "model-name", "models-flag", "direction", "stream-mode",
+         "repeated-key", "unparsable-cell", "segment-cell"],
+)
+def test_an_error_line_quotes_at_most_100_characters_of_long_input(tmp_path, capsys, config, flags, hfd, code, start):
+    if hfd is not None:
+        cfg = file_mode_config(tmp_path, VALID_CSV, b"\n".join([HEADER, *event_rows(range(3)), hfd.encode()]))
+    elif isinstance(config, str):
+        cfg = str(tmp_path / "cfg.json")
+        (tmp_path / "cfg.json").write_text(config)
+    else:
+        cfg = write_config(tmp_path, config)
+    assert main(["run", "--config", cfg, *flags, "--out", str(tmp_path / "o"), "--quiet"]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(start) and "xxxx…" in err
+    assert err.count("\n") == 1 and len(err) <= 300
 
 
 @pytest.mark.parametrize("field", ["osnr_normal_std", "osnr_tx_std", "ber_jitter_db"])

@@ -9,6 +9,9 @@ from driftstream.errors import NonFiniteInput
 from driftstream.models import GaussianNB
 from driftstream.models.snapshot import restore_model, snapshot_dict, snapshot_json
 from driftstream.stats import RunningStats
+from driftstream.telemetry import to_features
+
+from conftest import make_stream
 
 
 def test_unfitted_scores_half():
@@ -165,3 +168,15 @@ def test_restore_rejects_stats_whose_weight_differs_from_the_class_count():
     data["state"]["stats"][0][3][0] += 1.0
     with pytest.raises(ValueError, match="class counts"):
         restore_model(data)
+
+
+def test_a_feature_whose_squared_deviation_overflows_raises_rather_than_scoring_zero():
+    # both classes' log-likelihoods reach -inf, so their difference is NaN
+    rng = np.random.default_rng(3)
+    labels = [i % 2 for i in range(200)]
+    model = GaussianNB()
+    for event in make_stream([25.0 + rng.normal(0, 1) - 5 * y for y in labels], labels):
+        model.learn_one(to_features(event), int(event.label))
+    assert 0.0 <= model.score_one((1e-9, 32.0, 1e-6, 1e100)) <= 1.0
+    with pytest.raises(NonFiniteInput, match="log-odds"):
+        model.score_one((1e-9, 32.0, 1e-6, 1e200))

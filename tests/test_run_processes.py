@@ -273,3 +273,20 @@ def test_duplicate_model_names_are_a_config_error(tmp_path, monkeypatch, capsys)
     assert run(tmp_path, ["lr", "nb", "lr"], "o") == 2
     assert capsys.readouterr().err == "config error: config field 'models': each model may be named only once\n"
     assert not os.path.exists(tmp_path / "o")
+
+
+@pytest.mark.parametrize(
+    "bad, params, other", [("lr", {"learning_rate": 1e308}, "nb"), ("nb", {"min_variance": 1e308}, "lr")]
+)
+def test_a_nan_log_odds_exits_4_without_a_snapshot_forked_and_on_one_cpu(tmp_path, monkeypatch, capsys, forks, bad,
+                                                                         params, other):
+    cfg = write_config(tmp_path, {bad: params})
+    for out in ("forked", "serial"):
+        if out == "serial":
+            one_cpu(monkeypatch)
+        argv = ["run", "--config", cfg, "--models", f"{bad},{other}", "--out", str(tmp_path / out), "--save-models"]
+        assert main([*argv, "--quiet"]) == 4
+        assert_no_children()
+        assert capsys.readouterr().err == "error: non-finite log-odds\n"
+        assert not any(name.startswith(bad) for name in os.listdir(tmp_path / out))
+    assert len(forks) == 1

@@ -1,9 +1,11 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from driftstream.errors import NonFiniteInput
 from driftstream.stats import RunningStats, entropy2, sigmoid
 
 finite_floats = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
@@ -53,6 +55,13 @@ def test_sigmoid_endpoints_and_symmetry():
     assert sigmoid(800.0) == 1.0
     assert sigmoid(-800.0) == 0.0
     assert math.isclose(sigmoid(2.0) + sigmoid(-2.0), 1.0, rel_tol=1e-15)
+
+
+def test_sigmoid_of_nan_raises_and_infinities_saturate():
+    with pytest.raises(NonFiniteInput, match="log-odds"):
+        sigmoid(math.nan)
+    assert sigmoid(math.inf) == 1.0
+    assert sigmoid(-math.inf) == 0.0
 
 
 def test_entropy_bounds():
