@@ -5,10 +5,12 @@ derives all randomness from the root seed, and writes a manifest next to its
 outputs so a run can be reproduced from the manifest alone. ``run``,
 ``bench``, ``gen`` and the file-mode load split their work by one rule,
 ``_run_forked``: on a host with ``os.fork`` and two usable CPUs, every model
-(or file) but the last goes to one forked child, and the last stays in this
-process, and one pipe carries the child's messages, its result last. When
-arf is that last model, the child first pretrains the last half of its tree
-slots (rounded down) and hands them over on the same pipe.
+(or file, or for ``gen`` the first half of the rows) but the last goes to
+one forked child, and the last stays in this process, and one pipe carries
+the child's messages, its result last. When arf is that last model, the
+child first pretrains the last half of its tree slots (rounded down) and
+hands them over on the same pipe. ``drift`` builds no event: it runs on the
+loaded segments' label and feature columns.
 """
 
 from __future__ import annotations
@@ -23,11 +25,12 @@ import pickle
 import signal
 import sys
 import traceback
+from itertools import islice
 
 from . import __version__
 from .config import VALID_FORMATS, VALID_MODELS, ExperimentConfig, load_config, named_seed
-from .drift import detect_drifts_per_class, write_drift_csv
-from .errors import ConfigError, DriftStreamError
+from .drift import detect_drifts_in_columns, detect_drifts_per_class, write_drift_csv
+from .errors import ConfigError, DriftStreamError, shortened
 from .models import save_model
 from .evaluation import (
     _pretrain,
@@ -38,10 +41,11 @@ from .evaluation import (
     write_latency_table,
 )
 from .streams import (
+    encoded_rows,
     events_of,
-    generate_synthetic_segments,
-    load_csv,
+    labels_and_feature,
     merge_sfd_hfd,
+    oversample_sources,
     random_oversample,
     read_chunks,
     synthetic_columns,
@@ -117,24 +121,43 @@ def _write_manifest(cfg: ExperimentConfig, command: str) -> None:
         json.dump(manifest, fh, sort_keys=True, indent=2)
 
 
-def _load_segments(cfg: ExperimentConfig):
-    """Produce the two segments from the seeded generator, or from files through ``_run_forked``.
+def _load_segments(cfg: ExperimentConfig) -> tuple[list, list]:
+    """The two segments as ``read_chunks`` items: the seeded generator's columns, or files read through ``_run_forked``.
 
     In file mode a forked child reads sfd.csv, the first file and the
-    larger one on the benchmark's stream, while this process loads
+    larger one on the benchmark's stream, while this process reads
     hfd.csv. Only the child's parsed columns cross the pipe, since events
-    pickle about thirty times slower than the columns they are built from;
-    this process builds their events once they arrive.
+    pickle about thirty times slower than the columns they are built from.
     """
     stream = cfg.stream
     if stream.mode == "synth":
-        return generate_synthetic_segments(stream.synth, named_seed(cfg.seed, "generator"))
-    loads = {
-        "sfd": lambda: read_chunks(stream.sfd_path, column_map=stream.column_map, default_segment=Segment.SFD),
-        "hfd": lambda: load_csv(stream.hfd_path, column_map=stream.column_map, default_segment=Segment.HFD),
+        sfd, hfd = synthetic_columns(stream.synth, named_seed(cfg.seed, "generator"))
+        return [sfd], [hfd]
+    files = {"sfd": (stream.sfd_path, Segment.SFD), "hfd": (stream.hfd_path, Segment.HFD)}
+    segments = _run_forked(
+        "segment",
+        list(files),
+        lambda name, _: read_chunks(files[name][0], column_map=stream.column_map, default_segment=files[name][1]),
+    )
+    return segments["sfd"], segments["hfd"]
+
+
+def _check_lengths(cfg: ExperimentConfig, n_sfd: int, n_hfd: int) -> None:
+    """A ConfigError naming the file, or the synthetic count, of a segment with no event."""
+    if n_sfd == 0:  # only a file can be empty: n_sfd is at least 1
+        raise ConfigError("stream.sfd_path", "the pretraining segment is empty")
+    if n_hfd == 0:
+        field = "stream.synth.n_hfd" if cfg.stream.mode == "synth" else "stream.hfd_path"
+        raise ConfigError(field, "the streamed segment is empty")
+
+
+def _oversample_args(cfg: ExperimentConfig) -> dict:
+    """The keywords of ``random_oversample`` and ``oversample_sources`` that ``cfg.oversample`` sets."""
+    return {
+        "target_failure_ratio": cfg.oversample.target_failure_ratio,
+        "seed": named_seed(cfg.seed, "oversample"),
+        "target_failure_count": cfg.oversample.target_failure_count,
     }
-    segments = _run_forked("segment", list(loads), lambda name, _: loads[name]())
-    return events_of(segments["sfd"]), segments["hfd"]
 
 
 @contextlib.contextmanager
@@ -163,19 +186,10 @@ def _assemble(cfg: ExperimentConfig):
     before merging, so they arrive after all organic events.
     """
     with _collector_paused():
-        sfd, hfd = _load_segments(cfg)
-        if len(sfd) == 0:  # only a file can be empty: n_sfd is at least 1
-            raise ConfigError("stream.sfd_path", "the pretraining segment is empty")
-        if len(hfd) == 0:
-            field = "stream.synth.n_hfd" if cfg.stream.mode == "synth" else "stream.hfd_path"
-            raise ConfigError(field, "the streamed segment is empty")
+        sfd, hfd = map(events_of, _load_segments(cfg))
+        _check_lengths(cfg, len(sfd), len(hfd))
         if cfg.oversample is not None:
-            hfd = random_oversample(
-                hfd,
-                cfg.oversample.target_failure_ratio,
-                seed=named_seed(cfg.seed, "oversample"),
-                target_failure_count=cfg.oversample.target_failure_count,
-            )
+            hfd = random_oversample(hfd, **_oversample_args(cfg))
         merged = merge_sfd_hfd(sfd, hfd)
     boundary = len(sfd)
     return merged[:boundary], merged[boundary:], merged, boundary
@@ -256,7 +270,11 @@ def _exit_status(err: BaseException):
     if isinstance(err, ConfigError):
         return EXIT_CONFIG, f"config error: {err}"
     if isinstance(err, OSError):
-        return EXIT_IO, f"i/o error: {err}"
+        if err.filename is None:
+            return EXIT_IO, f"i/o error: {err}"
+        # str(err) with each file name quoted through shortened, so that a long path prints bounded
+        names = " -> ".join(shortened(name) for name in (err.filename, err.filename2) if name is not None)
+        return EXIT_IO, f"i/o error: [Errno {err.errno}] {err.strerror}: {names}"
     if isinstance(err, DriftStreamError):
         return EXIT_RUNTIME, f"error: {err}"
     if isinstance(err, MemoryError):  # a size the config allows but the host cannot hold
@@ -416,8 +434,27 @@ def cmd_run(cfg: ExperimentConfig, args: argparse.Namespace) -> None:
 
 
 def cmd_drift(cfg: ExperimentConfig, args: argparse.Namespace) -> None:
-    _, _, merged, boundary = _assemble(cfg)
-    drift_events = detect_drifts_per_class(merged, **dataclasses.asdict(cfg.pht))
+    """Localize drift per class over the merged stream's labels and ``cfg.pht``'s feature, building no event.
+
+    The segments load as ``run`` loads them, then keep only those two
+    columns; the oversampled copies are the values at the positions that
+    ``oversample_sources`` draws, as ``random_oversample`` would copy them.
+    The alarms, stdout and exit code are those of detection over
+    ``_assemble``'s merged events.
+    """
+    with _collector_paused():
+        (labels, values), (hfd_labels, hfd_values) = (
+            labels_and_feature(items, cfg.pht.feature_index) for items in _load_segments(cfg)
+        )
+        boundary = len(labels)
+        _check_lengths(cfg, boundary, len(hfd_labels))
+        if cfg.oversample is not None:
+            sources = oversample_sources(hfd_labels, **_oversample_args(cfg))
+            hfd_labels.extend(map(hfd_labels.__getitem__, sources))
+            hfd_values.extend(map(hfd_values.__getitem__, sources))
+        labels += hfd_labels
+        values += hfd_values
+    drift_events = detect_drifts_in_columns(labels, values, **dataclasses.asdict(cfg.pht))
     os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, "drift_events.csv")
     write_drift_csv(drift_events, path)
@@ -464,22 +501,38 @@ def cmd_bench(cfg: ExperimentConfig, args: argparse.Namespace) -> None:
 
 
 def cmd_gen(cfg: ExperimentConfig, args: argparse.Namespace) -> None:
-    """Write the two synthetic segments; through ``_run_forked``, sfd.csv in a child process.
+    """Write the two synthetic segments, their rows split evenly between two processes through ``_run_forked``.
 
     The rows are written straight from the generator's columns, so no event
-    is built. The files are independent, so on a host with two usable CPUs
-    they are written side by side. The bytes, stderr line and exit code are
-    those of a serial write; when both fail, the sfd error is reported.
+    is built. A forked child writes the header and the first
+    ⌈(n_sfd + n_hfd) / 2⌉ rows of sfd.csv (all of it, if it is shorter),
+    while this process writes hfd.csv and renders the rest of sfd.csv as
+    bytes, which it appends once the child is done. The output directory is
+    made before anything is synthesized. The bytes, stderr line and exit
+    code are those of a serial write; when both processes fail, the child's
+    (sfd.csv's) error is reported.
     """
     if cfg.stream.mode != "synth":
         raise ConfigError("stream.mode", "gen requires synth mode")
+    os.makedirs(cfg.out_dir, exist_ok=True)
     paths = {name: os.path.join(cfg.out_dir, f"{name}.csv") for name in ("sfd", "hfd")}
     with _collector_paused():
-        columns = dict(zip(paths, synthetic_columns(cfg.stream.synth, named_seed(cfg.seed, "generator"))))
-        os.makedirs(cfg.out_dir, exist_ok=True)
-        _run_forked("segment", list(paths), lambda n, _: write_rows(map(serialize_fields, *columns[n]), paths[n]))
-        counts = {name: len(cols[0]) for name, cols in columns.items()}
-        del columns  # freed while paused, so that no collection walks them once it ends
+        sfd, hfd = synthetic_columns(cfg.stream.synth, named_seed(cfg.seed, "generator"))
+        counts = {"sfd": len(sfd[0]), "hfd": len(hfd[0])}
+        head = (counts["sfd"] + counts["hfd"] + 1) // 2
+
+        def write_hfd_and_render_tail():
+            write_rows(map(serialize_fields, *hfd), paths["hfd"])
+            return encoded_rows(map(serialize_fields, *(islice(column, head, None) for column in sfd)))
+
+        writes = {
+            "sfd": lambda: write_rows(islice(map(serialize_fields, *sfd), head), paths["sfd"]),
+            "hfd": write_hfd_and_render_tail,
+        }
+        tail = _run_forked("segment", list(writes), lambda name, _: writes[name]())["hfd"]
+        del sfd, hfd  # freed while paused, so that no collection walks them once it ends
+        with open(paths["sfd"], "ab") as fh:
+            fh.write(tail)
     if not args.quiet:
         payload = {
             "sfd_path": paths["sfd"],

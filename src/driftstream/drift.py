@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -177,12 +178,38 @@ def detect_drifts_per_class(
     min_instances: int = 30,
     direction: Direction = Direction.TWO_SIDED,
 ) -> list[DriftEvent]:
-    """Localize drift per class on one feature.
+    """Localize drift per class on one feature of an event stream.
+
+    ``detect_drifts_in_columns`` over the events' labels and that feature's
+    values; ``events`` is read twice, so it must be a sequence.
+    """
+    return detect_drifts_in_columns(
+        map(operator.attrgetter("label"), events),
+        map(operator.itemgetter(feature_index), map(to_features, events)),
+        feature_index,
+        delta=delta,
+        threshold=threshold,
+        min_instances=min_instances,
+        direction=direction,
+    )
+
+
+def detect_drifts_in_columns(
+    labels: Iterable[Label],
+    values: Iterable[float],
+    feature_index: int = OSNR_RX_INDEX,
+    *,
+    delta: float = 0.005,
+    threshold: float = 50.0,
+    min_instances: int = 30,
+    direction: Direction = Direction.TWO_SIDED,
+) -> list[DriftEvent]:
+    """Localize drift per class on one feature, given as a stream's labels and that feature's values.
 
     Two independent detectors run over the same stream: one sees only
     normal-labeled samples, the other only failure-labeled samples. Alarm
-    indices refer to positions in the full stream. Results are ordered by
-    index.
+    indices refer to positions in the full stream, and each alarm names
+    ``feature_index``. Results are ordered by index.
     """
     if not 0 <= feature_index < N_FEATURES:
         raise ValueError(f"feature_index must be in [0, {N_FEATURES})")
@@ -192,10 +219,9 @@ def detect_drifts_per_class(
     }
     contexts = {Label.NORMAL: ClassContext.NORMAL, Label.FAILURE: ClassContext.FAILURE}
     out = []
-    for i, event in enumerate(events):
-        x = to_features(event)[feature_index]
-        if detectors[event.label].update(x):
-            out.append(DriftEvent(index=i, class_context=contexts[event.label], feature=feature_index))
+    for i, (label, x) in enumerate(zip(labels, values)):
+        if detectors[label].update(x):
+            out.append(DriftEvent(index=i, class_context=contexts[label], feature=feature_index))
     return out
 
 

@@ -24,12 +24,13 @@ range.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import operator
 import re
 import sys
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import compress, islice
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -45,6 +46,7 @@ from .errors import (
 )
 from .telemetry import (
     CSV_COLUMNS,
+    FEATURE_NAMES,
     LABEL_OF_TEXT,
     LABELS,
     REQUIRED_FIELDS,
@@ -53,6 +55,7 @@ from .telemetry import (
     Segment,
     TelemetryEvent,
     serialize_row,
+    to_features,
     validate,
 )
 
@@ -185,6 +188,7 @@ class StreamConfig:
 _CHUNK_ROWS = 4096
 _CANONICAL_KEYS = frozenset(CSV_COLUMNS)
 _REQUIRED_KEYS = frozenset(REQUIRED_FIELDS)
+_LABEL_COLUMN = CSV_COLUMNS.index("label")
 
 
 def load_csv(
@@ -241,6 +245,26 @@ def events_of(chunks: list) -> list[TelemetryEvent]:
         chunk = chunks.pop()
         events.extend(map(TelemetryEvent, *chunk) if isinstance(chunk, tuple) else chunk)
     return events
+
+
+def labels_and_feature(chunks: list, feature_index: int) -> tuple[list[Label], list[float]]:
+    """The labels and one feature's values of ``read_chunks``'s items, in order, without building an event.
+
+    Each item is dropped from ``chunks`` once read, as ``events_of`` drops it.
+    """
+    column = CSV_COLUMNS.index(FEATURE_NAMES[feature_index])  # an item's columns are in the CSV's order
+    labels: list[Label] = []
+    values: list[float] = []
+    chunks.reverse()
+    while chunks:
+        chunk = chunks.pop()
+        if isinstance(chunk, tuple):
+            labels.extend(chunk[_LABEL_COLUMN])
+            values.extend(chunk[column])
+        else:
+            labels.extend(map(operator.attrgetter("label"), chunk))
+            values.extend(map(operator.itemgetter(feature_index), map(to_features, chunk)))
+    return labels, values
 
 
 # the code points that errors="surrogateescape" gives undecodable bytes
@@ -378,7 +402,20 @@ def write_rows(rows: Iterable[Sequence[str]], path: str) -> None:
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\r\n")
-        fh.writelines(",".join(cells) + "\r\n" for cells in rows)
+        _write_lines(fh, rows)
+
+
+def encoded_rows(rows: Iterable[Sequence[str]]) -> bytes:
+    """The bytes ``write_rows`` writes after the header for ``rows``, rendered in memory to append to a file later."""
+    buffer = io.BytesIO()
+    text = io.TextIOWrapper(buffer, encoding="utf-8", newline="")
+    _write_lines(text, rows)
+    text.detach()  # flushes into the buffer and leaves it open
+    return buffer.getvalue()
+
+
+def _write_lines(fh, rows: Iterable[Sequence[str]]) -> None:
+    fh.writelines(",".join(cells) + "\r\n" for cells in rows)
 
 
 def merge_sfd_hfd(
@@ -418,36 +455,51 @@ def random_oversample(
     and appended until the target failure count is met. With a ratio target,
     the ratio is the failure share of the resulting sequence. If the target
     is already met the input is returned unchanged. Deterministic under a
-    fixed seed.
+    fixed seed; ``oversample_sources`` draws the copies.
     """
     events = list(events)
-    failures = [e for e in events if e.label == Label.FAILURE]
+    sources = oversample_sources(
+        [event.label for event in events], target_failure_ratio, seed, target_failure_count=target_failure_count
+    )
+    if sources:
+        next_ts = events[-1].timestamp + 1
+        events.extend([
+            TelemetryEvent(
+                next_ts + j, src.ber_tx, src.osnr_tx, src.ber_rx, src.osnr_rx, src.label, Segment.OVERSAMPLED, src.meta
+            )
+            for j, src in enumerate(map(events.__getitem__, sources))
+        ])
+    return events
+
+
+def oversample_sources(
+    labels: Sequence[Label],
+    target_failure_ratio: Optional[float] = None,
+    seed: SeedLike = None,
+    *,
+    target_failure_count: Optional[int] = None,
+) -> list[int]:
+    """The positions in ``labels`` of the failures that ``random_oversample`` copies, in the order it appends them.
+
+    Raises NoFailureSamples when no label is a failure, before the target is
+    validated; an empty list means the target is already met.
+    """
+    failures = list(compress(range(len(labels)), labels))  # Label.FAILURE is the one label that is true
     if not failures:
         raise NoFailureSamples()
 
     OversampleConfig(target_failure_ratio, target_failure_count).validate()
     if target_failure_ratio is not None:
         r = target_failure_ratio
-        need = (r * len(events) - len(failures)) / (1.0 - r)
+        need = (r * len(labels) - len(failures)) / (1.0 - r)
         k = max(0, math.ceil(need - 1e-12))
     else:
         k = max(0, int(target_failure_count) - len(failures))
 
     if k == 0:
-        return events
-
-    rng = np.random.default_rng(seed)
-    picks = rng.integers(0, len(failures), size=k)
-    next_ts = events[-1].timestamp + 1
-    out = events
-    for j, pick in enumerate(picks.tolist()):
-        src = failures[pick]
-        out.append(
-            TelemetryEvent(
-                next_ts + j, src.ber_tx, src.osnr_tx, src.ber_rx, src.osnr_rx, src.label, Segment.OVERSAMPLED, src.meta
-            )
-        )
-    return out
+        return []
+    picks = np.random.default_rng(seed).integers(0, len(failures), size=k)
+    return list(map(failures.__getitem__, picks.tolist()))
 
 
 def _waterfall_ber(osnr_db: np.ndarray, cfg: SynthConfig, rng: np.random.Generator) -> np.ndarray:

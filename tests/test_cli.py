@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from driftstream import cli
 from driftstream.cli import main
 from driftstream.evaluation import latency_benchmark, prequential_run
 from driftstream.streams import load_csv
@@ -666,6 +667,35 @@ def test_an_error_line_quotes_at_most_100_characters_of_long_input(tmp_path, cap
     err = capsys.readouterr().err
     assert err.startswith(start) and "xxxx…" in err
     assert err.count("\n") == 1 and len(err) <= 300
+
+
+@pytest.mark.parametrize(
+    "command, config, synthesizes",
+    [
+        ("drift", {"stream": {"mode": "file", "sfd_path": LONG, "hfd_path": LONG}}, False),
+        ("drift", {"out_dir": LONG}, True),
+        ("run", {"out_dir": LONG}, True),
+        ("gen", {"out_dir": LONG}, False),  # gen makes its output directory before it synthesizes
+    ],
+    ids=["drift-input", "drift-output", "run-output", "gen-output"],
+)
+def test_an_io_error_line_quotes_at_most_100_characters_of_a_long_path(tmp_path, monkeypatch, capsys, command, config,
+                                                                       synthesizes):
+    synthesized = []
+    synthetic_columns = cli.synthetic_columns
+
+    def recorded(*args):
+        synthesized.append(command)
+        return synthetic_columns(*args)
+
+    monkeypatch.setattr(cli, "synthetic_columns", recorded)
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--config", write_config(tmp_path, config), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: [Errno 36] File name too long: 'xxxx") and "xxxx…" in err
+    assert err.count("\n") == 1 and len(err) <= 300
+    assert synthesized == ([command] if synthesizes else [])
+    assert os.listdir(tmp_path) == ["cfg.json"]
 
 
 @pytest.mark.parametrize("field", ["osnr_normal_std", "osnr_tx_std", "ber_jitter_db"])

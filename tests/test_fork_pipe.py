@@ -1,22 +1,26 @@
 """The one pipe between a forked child and its parent, which carries arf's share and then the child's result.
 
-A share larger than the pipe's 64 KiB buffer makes the child wait until the
-parent reads it, so most of these tests use a forest of 100 trees, whose
-half pickles to more than that: ``run`` must still write the bytes of a
-one-CPU run, ``bench`` must time the models a serial bench times, and a
-parent whose arf fails before it reads the share must still read the
-child's result, exit as a serial run exits and leave no child. A share
-smaller than the child's write buffer must reach the parent before the
-child runs its own models, and no path may need a temporary file. Forked
-runs take the ``forks`` fixture, which reports two usable CPUs whatever the
-host has.
+A share larger than the pipe's buffer makes the child wait until the parent
+reads it. Where Linux lets a process resize a pipe (``fcntl.F_SETPIPE_SZ``),
+the ``pipe`` fixture shrinks each new pipe's buffer to 4 KiB, so that the
+default 10-tree forest's share exceeds it; elsewhere it falls back to a
+forest of 100 trees, whose half pickles to more than the default 64 KiB.
+With such a share, ``run`` must still write the bytes of a one-CPU run,
+``bench`` must time the models a serial bench times, and a parent whose arf
+fails before it reads the share must still read the child's result, exit as
+a serial run exits and leave no child. A share smaller than the child's
+write buffer must reach the parent before the child runs its own models,
+and no path may need a temporary file. Forked runs take the ``forks``
+fixture, which reports two usable CPUs whatever the host has.
 """
 
 import csv
+import fcntl
 import os
 import pickle
 import tempfile
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -30,10 +34,34 @@ from test_run_processes import MODELS, assert_forked_and_inline_runs_match, asse
 from test_cli import write_config
 
 PIPE_BUFFER = 65_536
+SMALL_PIPE = 4_096
 LARGE_SHARE = {
     "arf": {"n_trees": 100},
     "stream": {"mode": "synth", "synth": {"n_sfd": 4000, "n_hfd": 1000, "hfd_episodes": 4}},
 }
+
+
+@pytest.fixture
+def pipe(monkeypatch):
+    """``config``, a forest whose share exceeds the pipe's buffer, and ``buffers``, each new pipe's buffer size.
+
+    With ``F_SETPIPE_SZ``, every new pipe gets a 4 KiB buffer and ``config``
+    keeps the default forest; without it, pipes keep the default 64 KiB and
+    ``config`` is ``LARGE_SHARE``.
+    """
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        return SimpleNamespace(config=LARGE_SHARE, buffers=[PIPE_BUFFER])
+    buffers = []
+    make_pipe = os.pipe
+
+    def small_pipe():
+        read_fd, write_fd = make_pipe()
+        fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, SMALL_PIPE)
+        buffers.append(fcntl.fcntl(write_fd, fcntl.F_GETPIPE_SZ))
+        return read_fd, write_fd
+
+    monkeypatch.setattr(os, "pipe", small_pipe)
+    return SimpleNamespace(config={}, buffers=buffers)
 
 
 def record_message_sizes(monkeypatch, path):
@@ -49,29 +77,32 @@ def record_message_sizes(monkeypatch, path):
     monkeypatch.setattr(cli, "_outcome", recording)
 
 
-def run(tmp_path, out, *flags):
-    cfg = write_config(tmp_path, {"models": list(MODELS), **LARGE_SHARE})
+def run(tmp_path, out, config, *flags):
+    cfg = write_config(tmp_path, {"models": list(MODELS), **config})
     code = main(["run", "--config", cfg, "--out", str(tmp_path / out), "--quiet", *flags])
     assert_no_children()
     return code
 
 
-def test_a_share_larger_than_the_pipe_buffer_writes_the_bytes_of_a_one_cpu_run(tmp_path, monkeypatch, forks):
+def test_a_share_larger_than_the_pipe_buffer_writes_the_bytes_of_a_one_cpu_run(tmp_path, monkeypatch, forks, pipe):
     sizes = tmp_path / "sizes"
     record_message_sizes(monkeypatch, sizes)
-    assert run(tmp_path, "forked", "--save-models") == 0
+    assert run(tmp_path, "forked", pipe.config, "--save-models") == 0
     assert len(forks) == 1
     share, _ = map(int, sizes.read_text().split())
-    assert share > PIPE_BUFFER
+    assert share > pipe.buffers[-1]
     one_cpu(monkeypatch)
-    assert run(tmp_path, "inline", "--save-models") == 0
+    assert run(tmp_path, "inline", pipe.config, "--save-models") == 0
     assert len(forks) == 1
     assert_forked_and_inline_runs_match(tmp_path)
 
 
-def test_a_share_larger_than_the_pipe_buffer_is_timed_as_a_serial_bench_times_it(tmp_path, monkeypatch, forks):
-    timed = timed_models(tmp_path, monkeypatch, MODELS, LARGE_SHARE)
+def test_a_share_larger_than_the_pipe_buffer_is_timed_as_a_serial_bench_times_it(tmp_path, monkeypatch, forks, pipe):
+    sizes = tmp_path / "sizes"
+    record_message_sizes(monkeypatch, sizes)
+    timed = timed_models(tmp_path, monkeypatch, MODELS, pipe.config)
     assert len(forks) == 1
+    assert int(sizes.read_text().split()[0]) > pipe.buffers[-1]
     assert set(timed["forked"]) == set(MODELS)
     assert timed["forked"] == timed["serial"]
     for out in ("forked", "serial"):
@@ -86,19 +117,20 @@ FAILING = [("arf",), ("lr", "arf")]
 
 @pytest.mark.parametrize("failing", FAILING)
 def test_a_parent_that_fails_before_it_receives_a_large_share_exits_like_a_serial_run(tmp_path, monkeypatch, capsys,
-                                                                                       forks, failing):
+                                                                                       forks, pipe, failing):
     failing_models(monkeypatch, {name: NonFiniteInput(f"{name} in its arms") for name in failing})
-    assert run(tmp_path, "forked") == 4
+    assert run(tmp_path, "forked", pipe.config) == 4
     assert len(forks) == 1
     forked = capsys.readouterr().err
     one_cpu(monkeypatch)
-    assert run(tmp_path, "serial") == 4
+    assert run(tmp_path, "serial", pipe.config) == 4
     assert capsys.readouterr().err == forked == f"error: non-finite {failing[0]} in its arms\n"
 
 
 @pytest.mark.parametrize("failing", FAILING)
 def test_a_bench_parent_that_fails_before_it_receives_a_large_share_exits_like_a_serial_bench(tmp_path, monkeypatch,
-                                                                                              capsys, forks, failing):
+                                                                                              capsys, forks, pipe,
+                                                                                              failing):
     parent = os.getpid()
     pretrained = cli._pretrained
 
@@ -108,7 +140,7 @@ def test_a_bench_parent_that_fails_before_it_receives_a_large_share_exits_like_a
         return pretrained(cfg, name, *args)
 
     monkeypatch.setattr(cli, "_pretrained", failing_pretrain)
-    cfg = write_config(tmp_path, {"models": list(MODELS), "bench": BENCH, **LARGE_SHARE})
+    cfg = write_config(tmp_path, {"models": list(MODELS), "bench": BENCH, **pipe.config})
     for out in ("forked", "serial"):
         if out == "serial":
             no_fork(monkeypatch)

@@ -1,11 +1,14 @@
-"""`driftstream gen` under the shared fork rule: sfd.csv is written in one forked child, hfd.csv in the parent.
+"""`driftstream gen` under the shared fork rule, its rows split evenly between two processes.
 
-Each run is compared with an inline one (``os.fork`` deleted, or a host
-that reports one usable CPU): the same bytes in both files, the same
-stdout, and on failure the same exit code and stderr line, with the sfd
-error first when both files fail. Forked runs take the ``forks`` fixture,
-which reports two usable CPUs whatever the host has. After ``main``
-returns, on every path, no child process is left to reap.
+A forked child writes sfd.csv's header and first ⌈(n_sfd + n_hfd) / 2⌉
+rows; the parent writes hfd.csv, renders the rest of sfd.csv as bytes and
+appends them once the child is done. Each run is compared with an inline
+one (``os.fork`` deleted, or a host that reports one usable CPU): the same
+bytes in both files, the same stdout, and on failure the same exit code and
+stderr line, with the child's (sfd) error first when both processes fail.
+Forked runs take the ``forks`` fixture, which reports two usable CPUs
+whatever the host has. After ``main`` returns, on every path, no child
+process is left to reap.
 """
 
 import os
@@ -27,9 +30,9 @@ def no_fork(monkeypatch):
     monkeypatch.delattr(os, "fork")
 
 
-def gen_both_ways(tmp_path, monkeypatch, capsys, forks, out, *flags, inline=no_fork):
+def gen_both_ways(tmp_path, monkeypatch, capsys, forks, out, *flags, inline=no_fork, config=None):
     """(exit code, stdout, stderr, files) of a forked gen, then of one that ``inline`` keeps in one process."""
-    cfg = write_config(tmp_path)
+    cfg = write_config(tmp_path, config)
     results = []
     for serial in (False, True):
         if serial:
@@ -67,6 +70,59 @@ def test_an_unwritable_file_exits_3_like_inline_gen(tmp_path, monkeypatch, capsy
     assert (code, stdout, err) == inline[:3]
     assert code == 3 and stdout == ""
     assert err == f"i/o error: [Errno 21] Is a directory: {str(out / (blocked[0] + '.csv'))!r}\n"
+
+
+SPLITS = {
+    "ingest-sizes": {"n_sfd": 60000, "n_hfd": 30000, "sfd_episodes": 30, "hfd_episodes": 54},
+    "sfd-shorter": {"n_sfd": 500, "n_hfd": 1500, "sfd_episodes": 1, "hfd_episodes": 2},
+    "one-each": {"n_sfd": 1, "n_hfd": 1, "sfd_episodes": 0, "hfd_episodes": 0},
+}
+
+
+@pytest.mark.parametrize("synth", SPLITS.values(), ids=SPLITS)
+def test_the_row_split_writes_the_bytes_of_an_inline_gen(tmp_path, monkeypatch, capsys, forks, synth):
+    tails = []
+    encoded_rows = cli.encoded_rows
+
+    def counted(rows):
+        tail = encoded_rows(rows)
+        tails.append(tail.count(b"\r\n"))
+        return tail
+
+    monkeypatch.setattr(cli, "encoded_rows", counted)
+    config = {"stream": {"mode": "synth", "synth": synth}}
+    forked, inline = gen_both_ways(tmp_path, monkeypatch, capsys, forks, tmp_path / "g", config=config)
+    assert forked == inline
+    code, _, err, files = forked
+    n_sfd, n_hfd = synth["n_sfd"], synth["n_hfd"]
+    assert code == 0 and err == ""
+    assert tails == [max(0, n_sfd - (n_sfd + n_hfd + 1) // 2)] * 2  # the parent's part of sfd.csv, in each run
+    assert files["sfd.csv"].count(b"\r\n") == n_sfd + 1 and files["hfd.csv"].count(b"\r\n") == n_hfd + 1
+    assert [line.split(b",")[0] for line in files["sfd.csv"].splitlines()] == [b"timestamp", *(
+        str(i).encode() for i in range(n_sfd))]
+
+
+def test_a_failed_append_exits_3_like_a_serial_write(tmp_path, monkeypatch, capsys, forks):
+    """sfd.csv turns into a directory after the child wrote its rows, so the parent's append fails."""
+    run_forked = cli._run_forked
+    out = tmp_path / "g"
+
+    def then_blocked(*args):
+        written = run_forked(*args)
+        (out / "sfd.csv").unlink()
+        (out / "sfd.csv").mkdir()
+        return written
+
+    monkeypatch.setattr(cli, "_run_forked", then_blocked)
+    cfg = write_config(tmp_path)
+    assert main(["gen", "--config", cfg, "--out", str(out)]) == 3
+    assert_no_children()
+    assert len(forks) == 1
+    assert capsys.readouterr() == ("", f"i/o error: [Errno 21] Is a directory: {str(out / 'sfd.csv')!r}\n")
+    monkeypatch.setattr(cli, "_run_forked", run_forked)
+    no_fork(monkeypatch)
+    assert main(["gen", "--config", cfg, "--out", str(out)]) == 3  # sfd.csv is still a directory
+    assert capsys.readouterr() == ("", f"i/o error: [Errno 21] Is a directory: {str(out / 'sfd.csv')!r}\n")
 
 
 def test_a_killed_child_exits_4_naming_the_segment(tmp_path, monkeypatch, capsys, forks):

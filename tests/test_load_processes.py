@@ -117,11 +117,11 @@ def test_a_file_whose_chunks_mix_both_paths_loads_the_events_of_an_inline_load(t
         for name, path in (("sfd", cfg.stream.sfd_path), ("hfd", cfg.stream.hfd_path))
     }
     assert kinds == {"sfd": {tuple, list}, "hfd": {list}}
-    forked = cli._load_segments(cfg)
+    forked = list(map(streams.events_of, cli._load_segments(cfg)))
     assert_no_children()
     assert len(forks) == 1
     no_fork(monkeypatch)
-    inline = cli._load_segments(cfg)
+    inline = list(map(streams.events_of, cli._load_segments(cfg)))
     assert_no_children()
     assert [fields(events) for events in forked] == [fields(events) for events in inline]
     sfd, hfd = forked
