@@ -9,8 +9,10 @@ outputs so a run can be reproduced from the manifest alone. ``run``,
 one forked child, and the last stays in this process, and one pipe carries
 the child's messages, its result last. When arf is that last model, the
 child first pretrains the last half of its tree slots (rounded down) and
-hands them over on the same pipe. ``drift`` builds no event: it runs on the
-loaded segments' label and feature columns.
+hands them over on the same pipe. ``run``, ``bench`` and ``drift`` merge the
+stream as columns in ``_assemble``: ``drift`` takes the labels and one
+feature and builds no event, ``run`` and ``bench`` build each event once.
+``run`` and ``drift`` detect drift through ``_localize``.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from itertools import islice
 
 from . import __version__
 from .config import VALID_FORMATS, VALID_MODELS, ExperimentConfig, load_config, named_seed
-from .drift import detect_drifts_in_columns, detect_drifts_per_class, write_drift_csv
+from .drift import detect_drifts_in_columns, write_drift_csv
 from .errors import ConfigError, DriftStreamError, shortened
 from .models import save_model
 from .evaluation import (
@@ -40,18 +42,8 @@ from .evaluation import (
     write_latency_raw,
     write_latency_table,
 )
-from .streams import (
-    encoded_rows,
-    events_of,
-    labels_and_feature,
-    merge_sfd_hfd,
-    oversample_sources,
-    random_oversample,
-    read_chunks,
-    synthetic_columns,
-    write_rows,
-)
-from .telemetry import Segment, serialize_fields
+from .streams import columns_of, encoded_rows, oversample_sources, read_chunks, synthetic_columns, write_rows
+from .telemetry import CSV_COLUMNS, FEATURE_NAMES, Segment, TelemetryEvent, serialize_fields
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -142,24 +134,6 @@ def _load_segments(cfg: ExperimentConfig) -> tuple[list, list]:
     return segments["sfd"], segments["hfd"]
 
 
-def _check_lengths(cfg: ExperimentConfig, n_sfd: int, n_hfd: int) -> None:
-    """A ConfigError naming the file, or the synthetic count, of a segment with no event."""
-    if n_sfd == 0:  # only a file can be empty: n_sfd is at least 1
-        raise ConfigError("stream.sfd_path", "the pretraining segment is empty")
-    if n_hfd == 0:
-        field = "stream.synth.n_hfd" if cfg.stream.mode == "synth" else "stream.hfd_path"
-        raise ConfigError(field, "the streamed segment is empty")
-
-
-def _oversample_args(cfg: ExperimentConfig) -> dict:
-    """The keywords of ``random_oversample`` and ``oversample_sources`` that ``cfg.oversample`` sets."""
-    return {
-        "target_failure_ratio": cfg.oversample.target_failure_ratio,
-        "seed": named_seed(cfg.seed, "oversample"),
-        "target_failure_count": cfg.oversample.target_failure_count,
-    }
-
-
 @contextlib.contextmanager
 def _collector_paused():
     """Turn the cyclic garbage collector off, and back to the caller's state on leaving.
@@ -179,20 +153,58 @@ def _collector_paused():
             gc.enable()
 
 
-def _assemble(cfg: ExperimentConfig):
-    """Segments -> (pretrain, stream, merged, boundary index).
+def _assemble(cfg: ExperimentConfig, names: tuple) -> tuple[tuple, int]:
+    """The merged stream's columns ``names`` (of ``CSV_COLUMNS``, never the timestamps) and the boundary index.
 
-    Oversampled failure copies are appended to the hard-failure segment
-    before merging, so they arrive after all organic events.
+    An empty segment is a ConfigError before anything is oversampled. The
+    rows at the positions ``oversample_sources`` draws are copied to the end
+    of the hard-failure segment, tagged ``Segment.OVERSAMPLED``, so they
+    arrive after all organic events. The merged timestamps are the positions.
     """
     with _collector_paused():
-        sfd, hfd = map(events_of, _load_segments(cfg))
-        _check_lengths(cfg, len(sfd), len(hfd))
+        sfd, hfd = (columns_of(items, names) for items in _load_segments(cfg))
+        boundary, n_hfd = len(sfd[0]), len(hfd[0])
+        if boundary == 0:  # only a file can be empty: n_sfd is at least 1
+            raise ConfigError("stream.sfd_path", "the pretraining segment is empty")
+        if n_hfd == 0:
+            field = "stream.synth.n_hfd" if cfg.stream.mode == "synth" else "stream.hfd_path"
+            raise ConfigError(field, "the streamed segment is empty")
         if cfg.oversample is not None:
-            hfd = random_oversample(hfd, **_oversample_args(cfg))
-        merged = merge_sfd_hfd(sfd, hfd)
-    boundary = len(sfd)
-    return merged[:boundary], merged[boundary:], merged, boundary
+            labels, seed = hfd[names.index("label")], named_seed(cfg.seed, "oversample")
+            sources = oversample_sources(labels, seed=seed, **dataclasses.asdict(cfg.oversample))
+            for name, column in zip(names, hfd):
+                copies = [Segment.OVERSAMPLED] * len(sources) if name == "segment" else map(column.__getitem__, sources)
+                column.extend(copies)
+        for column, tail in zip(sfd, hfd):
+            column += tail
+    return sfd, boundary
+
+
+# every field of an event but its timestamp, which is its position in the merged stream
+_EVENT_FIELDS = CSV_COLUMNS[1:]
+
+
+def _events(columns: tuple, boundary: int) -> tuple[list, list]:
+    """(pretrain, stream): the events of ``_assemble``'s merged ``_EVENT_FIELDS`` columns, split at the boundary.
+
+    Each event is built once, with its merged position as its timestamp.
+    """
+    with _collector_paused():
+        events = list(map(TelemetryEvent, range(len(columns[0])), *columns))
+    return events[:boundary], events[boundary:]
+
+
+def _localize(cfg: ExperimentConfig, names: tuple, columns: tuple) -> tuple[list, str]:
+    """Per-class drift alarms over the merged ``columns`` (named ``names``), written to drift_events.csv.
+
+    The detectors see the labels and ``cfg.pht``'s feature. Returns the alarms and the file's path.
+    """
+    labels, values = (columns[names.index(name)] for name in ("label", FEATURE_NAMES[cfg.pht.feature_index]))
+    drift_events = detect_drifts_in_columns(labels, values, **dataclasses.asdict(cfg.pht))
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    path = os.path.join(cfg.out_dir, "drift_events.csv")
+    write_drift_csv(drift_events, path)
+    return drift_events, path
 
 
 def _emit_summary(cfg: ExperimentConfig, summary: dict) -> None:
@@ -412,12 +424,13 @@ def cmd_run(cfg: ExperimentConfig, args: argparse.Namespace) -> None:
     The pairs share nothing once the streams are built, so on a host with
     two usable CPUs they run side by side; a split arf is joined and
     streamed whole in this process. The outputs, stderr line and exit code
-    are those of a serial run.
+    are those of a serial run. Drift is localized first, on the merged
+    columns the events are built from, as ``drift`` localizes it.
     """
-    pretrain, stream, merged, boundary = _assemble(cfg)
-    drift_events = detect_drifts_per_class(merged, **dataclasses.asdict(cfg.pht))
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    write_drift_csv(drift_events, os.path.join(cfg.out_dir, "drift_events.csv"))
+    columns, boundary = _assemble(cfg, _EVENT_FIELDS)
+    _localize(cfg, _EVENT_FIELDS, columns)
+    pretrain, stream = _events(columns, boundary)
+    del columns  # the events hold every value; the lists (0.7 MB on the default config) would raise the peak RSS
     entries = _run_models(
         cfg, pretrain, lambda n, slots, share: _run_model(cfg, n, pretrain, stream, args.save_models, slots, share)
     )
@@ -436,28 +449,12 @@ def cmd_run(cfg: ExperimentConfig, args: argparse.Namespace) -> None:
 def cmd_drift(cfg: ExperimentConfig, args: argparse.Namespace) -> None:
     """Localize drift per class over the merged stream's labels and ``cfg.pht``'s feature, building no event.
 
-    The segments load as ``run`` loads them, then keep only those two
-    columns; the oversampled copies are the values at the positions that
-    ``oversample_sources`` draws, as ``random_oversample`` would copy them.
-    The alarms, stdout and exit code are those of detection over
-    ``_assemble``'s merged events.
+    ``_assemble`` keeps only those two columns, and ``_localize`` detects
+    and writes the alarms as it does for ``run``.
     """
-    with _collector_paused():
-        (labels, values), (hfd_labels, hfd_values) = (
-            labels_and_feature(items, cfg.pht.feature_index) for items in _load_segments(cfg)
-        )
-        boundary = len(labels)
-        _check_lengths(cfg, boundary, len(hfd_labels))
-        if cfg.oversample is not None:
-            sources = oversample_sources(hfd_labels, **_oversample_args(cfg))
-            hfd_labels.extend(map(hfd_labels.__getitem__, sources))
-            hfd_values.extend(map(hfd_values.__getitem__, sources))
-        labels += hfd_labels
-        values += hfd_values
-    drift_events = detect_drifts_in_columns(labels, values, **dataclasses.asdict(cfg.pht))
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    path = os.path.join(cfg.out_dir, "drift_events.csv")
-    write_drift_csv(drift_events, path)
+    names = ("label", FEATURE_NAMES[cfg.pht.feature_index])
+    columns, boundary = _assemble(cfg, names)
+    drift_events, path = _localize(cfg, names, columns)
     if not args.quiet:
         payload = {
             "drift_events": len(drift_events),
@@ -476,7 +473,7 @@ def cmd_bench(cfg: ExperimentConfig, args: argparse.Namespace) -> None:
     two processes. Each model is pretrained and timed on its own copies, so
     the outputs, stderr line and exit code are those of a serial run.
     """
-    pretrain, stream, _, _ = _assemble(cfg)
+    pretrain, stream = _events(*_assemble(cfg, _EVENT_FIELDS))
     sample_stream = stream[: cfg.bench.events_per_trial]
     report_of = _run_models(
         cfg,

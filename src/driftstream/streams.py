@@ -46,7 +46,6 @@ from .errors import (
 )
 from .telemetry import (
     CSV_COLUMNS,
-    FEATURE_NAMES,
     LABEL_OF_TEXT,
     LABELS,
     REQUIRED_FIELDS,
@@ -55,7 +54,6 @@ from .telemetry import (
     Segment,
     TelemetryEvent,
     serialize_row,
-    to_features,
     validate,
 )
 
@@ -188,7 +186,6 @@ class StreamConfig:
 _CHUNK_ROWS = 4096
 _CANONICAL_KEYS = frozenset(CSV_COLUMNS)
 _REQUIRED_KEYS = frozenset(REQUIRED_FIELDS)
-_LABEL_COLUMN = CSV_COLUMNS.index("label")
 
 
 def load_csv(
@@ -231,7 +228,7 @@ def read_chunks(path: str, *, column_map: Optional[dict] = None, default_segment
 
     A columns item is a tuple of lists (timestamps may be a range) in
     ``TelemetryEvent`` field order, so the items pickle cheaply across a
-    fork; ``events_of`` builds the events.
+    fork; ``events_of`` builds the events, and ``columns_of`` reads chosen columns.
     """
     with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
         return _read_chunks(csv.reader(fh), column_map, default_segment)
@@ -247,24 +244,20 @@ def events_of(chunks: list) -> list[TelemetryEvent]:
     return events
 
 
-def labels_and_feature(chunks: list, feature_index: int) -> tuple[list[Label], list[float]]:
-    """The labels and one feature's values of ``read_chunks``'s items, in order, without building an event.
+def columns_of(chunks: list, names: Sequence[str]) -> tuple[list, ...]:
+    """The named ``CSV_COLUMNS`` of ``read_chunks``'s items, one list each, in order, without building an event.
 
-    Each item is dropped from ``chunks`` once read, as ``events_of`` drops it.
+    A row loop's events are read through their attributes. Each item is
+    dropped from ``chunks`` once read, as ``events_of`` drops it.
     """
-    column = CSV_COLUMNS.index(FEATURE_NAMES[feature_index])  # an item's columns are in the CSV's order
-    labels: list[Label] = []
-    values: list[float] = []
+    positions = list(map(CSV_COLUMNS.index, names))  # an item's columns are in the CSV's order
+    columns = tuple([] for _ in names)
     chunks.reverse()
     while chunks:
         chunk = chunks.pop()
-        if isinstance(chunk, tuple):
-            labels.extend(chunk[_LABEL_COLUMN])
-            values.extend(chunk[column])
-        else:
-            labels.extend(map(operator.attrgetter("label"), chunk))
-            values.extend(map(operator.itemgetter(feature_index), map(to_features, chunk)))
-    return labels, values
+        for column, name, position in zip(columns, names, positions):
+            column.extend(chunk[position] if isinstance(chunk, tuple) else map(operator.attrgetter(name), chunk))
+    return columns
 
 
 # the code points that errors="surrogateescape" gives undecodable bytes

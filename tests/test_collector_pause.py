@@ -1,9 +1,9 @@
 """The cyclic garbage collector is paused only while streams are built or written.
 
 ``main`` must hand the collector back in the state its caller left it, on
-every exit path. The pause rests on one premise, tested here too: building,
-oversampling, merging and writing events leaves no reference cycle, so the
-collections it skips would have freed nothing.
+every exit path. The pause rests on one premise, tested here too: assembling
+the merged columns, building, oversampling, merging and writing events leaves
+no reference cycle, so the collections it skips would have freed nothing.
 """
 
 import gc
@@ -92,24 +92,26 @@ def test_only_stream_building_and_writing_run_paused(tmp_path, monkeypatch):
 
     def recording(name, call):
         def wrapper(*args, **kwargs):
-            seen.append((name, gc.isenabled()))
+            if name != "TelemetryEvent" or seen[-1][0] != name:  # one entry per build, not per event
+                seen.append((name, gc.isenabled()))
             return call(*args, **kwargs)
 
         monkeypatch.setattr(cli, name, wrapper)
 
-    for name in ("merge_sfd_hfd", "write_rows", "latency_benchmark", "prequential_run"):
+    for name in ("columns_of", "TelemetryEvent", "write_rows", "latency_benchmark", "prequential_run"):
         recording(name, getattr(cli, name))
     monkeypatch.delattr(os, "fork")  # so that every call is made, and recorded, in this process
     assert gc.isenabled()
     for command in ("gen", "run", "bench"):
         assert main(cli_args(tmp_path, command)) == 0
+    assembly = [("columns_of", False), ("columns_of", False), ("TelemetryEvent", False)]
     assert seen == [
         ("write_rows", False),
         ("write_rows", False),
-        ("merge_sfd_hfd", False),
+        *assembly,
         ("prequential_run", True),
         ("prequential_run", True),
-        ("merge_sfd_hfd", False),
+        *assembly,
         ("latency_benchmark", True),
         ("latency_benchmark", True),
     ]
@@ -140,7 +142,7 @@ def small_synth(n):
 def assemble_synth(tmp_path, n):
     cfg = ExperimentConfig(oversample=OversampleConfig(target_failure_ratio=0.5))
     cfg.stream.synth = small_synth(n)
-    return lambda: cli._assemble(cfg)
+    return lambda: cli._events(*cli._assemble(cfg, cli._EVENT_FIELDS))
 
 
 def assemble_file(tmp_path, n):
@@ -163,7 +165,7 @@ def assemble_file(tmp_path, n):
     with open(paths["hfd"], "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
     cfg = ExperimentConfig(stream=StreamConfig(mode="file", sfd_path=paths["sfd"], hfd_path=paths["hfd"]))
-    return lambda: cli._assemble(cfg)
+    return lambda: cli._events(*cli._assemble(cfg, cli._EVENT_FIELDS))
 
 
 def oversample_and_merge(tmp_path, n):

@@ -1,26 +1,26 @@
-"""`driftstream drift` on parsed columns: the alarms, stdout and exit code of detection over merged events.
+"""`drift`, `run` and `bench` on the merged columns: what the public event API gives on the same stream.
 
-``drift`` keeps only each segment's labels and one feature's values, and
-takes the oversampled copies as positions drawn as ``random_oversample``
-draws them. Each case is compared with the event path, kept here as the
-reference: ``cli._assemble``'s merged events through
-``detect_drifts_per_class``, written and printed as ``drift`` writes and
-prints them, with an error mapped as ``main`` maps it. Forked runs take the
-``forks`` fixture, which reports two usable CPUs whatever the host has.
+The CLI assembles the merged stream as columns. The reference is the event
+path: ``generate_synthetic_segments`` or ``load_csv``, then
+``random_oversample``, ``merge_sfd_hfd`` and ``detect_drifts_per_class``.
+``drift``'s and ``run``'s drift_events.csv, stdout and exit code are compared
+with its alarms, and the events ``run`` and ``bench`` stream with its merged
+events, field by field. Forked runs take the ``forks`` fixture, which reports
+two usable CPUs whatever the host has.
 """
 
 import dataclasses
 import json
-import os
-import shutil
 
 import pytest
 
 from driftstream import cli, streams
 from driftstream.cli import main
-from driftstream.config import load_config
+from driftstream.config import load_config, named_seed
 from driftstream.drift import detect_drifts_per_class, write_drift_csv
-from driftstream.telemetry import TelemetryEvent
+from driftstream.errors import NoFailureSamples
+from driftstream.streams import generate_synthetic_segments, load_csv, merge_sfd_hfd, random_oversample
+from driftstream.telemetry import Segment, TelemetryEvent
 
 from test_cli import SMALL_SYNTH, write_config
 from test_gen_processes import no_fork
@@ -32,39 +32,57 @@ COUNT = {"target_failure_count": 900}
 PHT = {"feature_index": 1, "direction": "decrease", "threshold": 2.0, "min_instances": 10}
 
 
-def event_path(cfg_path, out):
-    """(exit code, stdout, stderr, drift_events.csv bytes or None) of detection over ``_assemble``'s events."""
+def reference(cfg_path):
+    """(pretrain, stream) of the public event API on the config's stream: merged, split at the boundary."""
     cfg = load_config(cfg_path)
-    cfg.out_dir = str(out)
-    try:
-        _, _, merged, boundary = cli._assemble(cfg)
-        alarms = detect_drifts_per_class(merged, **dataclasses.asdict(cfg.pht))
-    except Exception as err:
-        code, line = cli._exit_status(err)
-        return code, "", line + "\n", None
-    os.makedirs(out)
-    path = os.path.join(out, "drift_events.csv")
-    write_drift_csv(alarms, path)
-    payload = {"drift_events": len(alarms), "drift_boundary_index": boundary, "path": path}
-    with open(path, "rb") as fh:
-        return 0, json.dumps(payload, sort_keys=True) + "\n", "", fh.read()
+    stream = cfg.stream
+    if stream.mode == "synth":
+        sfd, hfd = generate_synthetic_segments(stream.synth, named_seed(cfg.seed, "generator"))
+    else:
+        sfd = load_csv(stream.sfd_path, column_map=stream.column_map, default_segment=Segment.SFD)
+        hfd = load_csv(stream.hfd_path, column_map=stream.column_map, default_segment=Segment.HFD)
+    if cfg.oversample is not None:
+        hfd = random_oversample(hfd, seed=named_seed(cfg.seed, "oversample"), **dataclasses.asdict(cfg.oversample))
+    merged = merge_sfd_hfd(sfd, hfd)
+    return merged[: len(sfd)], merged[len(sfd) :]
 
 
-def column_path(cfg_path, out, capsys):
-    """The same four of ``main(["drift", ...])``."""
-    code = main(["drift", "--config", cfg_path, "--out", str(out)])
+def reference_alarms(cfg_path, path):
+    """(boundary, alarm count, drift_events.csv bytes) of ``detect_drifts_per_class`` over the reference stream."""
+    pretrain, stream = reference(cfg_path)
+    alarms = detect_drifts_per_class(pretrain + stream, **dataclasses.asdict(load_config(cfg_path).pht))
+    write_drift_csv(alarms, str(path))
+    return len(pretrain), len(alarms), path.read_bytes()
+
+
+def outcome(command, cfg_path, out, capsys):
+    """(exit code, stdout, stderr, drift_events.csv bytes or None) of ``main([command, ...])``.
+
+    ``run`` runs lr alone and prints its summary as JSON, which carries the boundary.
+    """
+    extra = ["--models", "lr", "--format", "json"] if command == "run" else []
+    code = main([command, "--config", cfg_path, "--out", str(out), *extra])
     assert_no_children()
     captured = capsys.readouterr()
     path = out / "drift_events.csv"
     return code, captured.out, captured.err, path.read_bytes() if path.exists() else None
 
 
-def assert_both_paths_agree(cfg_path, out, capsys):
-    """Both paths give the same four; returns them."""
-    columns = column_path(cfg_path, out, capsys)
-    shutil.rmtree(out, ignore_errors=True)
-    assert event_path(cfg_path, out) == columns
-    return columns
+def assert_drift_and_run_give_the_reference_alarms(tmp_path, cfg_path, capsys):
+    """``drift`` and ``run`` write and print the reference's alarms and boundary; returns the alarm count."""
+    boundary, n_alarms, alarms = reference_alarms(cfg_path, tmp_path / "reference.csv")
+    out = tmp_path / "drift"
+    payload = {"drift_events": n_alarms, "drift_boundary_index": boundary, "path": str(out / "drift_events.csv")}
+    assert outcome("drift", cfg_path, out, capsys) == (0, json.dumps(payload, sort_keys=True) + "\n", "", alarms)
+    code, stdout, stderr, run_alarms = outcome("run", cfg_path, tmp_path / "run", capsys)
+    assert (code, stderr, run_alarms) == (0, "", alarms)
+    assert json.loads(stdout)["drift_boundary_index"] == boundary
+    return n_alarms
+
+
+def add_site(name, lines):
+    """Every row carries a non-canonical column, so every chunk goes to the row loop and its item is events."""
+    lines[:] = [lines[0] + ",site", *(f"{line},rack-{i % 3}" for i, line in enumerate(lines[1:]))]
 
 
 def file_config(tmp_path, extra, edit=None):
@@ -78,6 +96,17 @@ def file_config(tmp_path, extra, edit=None):
     return path
 
 
+def row_loop_config(tmp_path, monkeypatch, extra):
+    """``file_config`` with ``add_site``, in chunks small enough that each file has several."""
+    monkeypatch.setattr(streams, "_CHUNK_ROWS", 256)
+    cfg_path = file_config(tmp_path, extra, add_site)
+    cfg = load_config(cfg_path)
+    for path in (cfg.stream.sfd_path, cfg.stream.hfd_path):
+        items = streams.read_chunks(path, column_map=cfg.stream.column_map)
+        assert len(items) > 1 and all(isinstance(item, list) for item in items)
+    return cfg_path
+
+
 CASES = {
     "ratio": {"oversample": RATIO},
     "count": {"oversample": COUNT},
@@ -87,33 +116,20 @@ CASES = {
 
 
 @pytest.mark.parametrize("extra", CASES.values(), ids=CASES)
-def test_synth_mode_drift_equals_the_event_path(tmp_path, capsys, extra):
-    code, _, _, alarms = assert_both_paths_agree(write_config(tmp_path, extra), tmp_path / "o", capsys)
-    assert code == 0 and alarms.count(b"\n") > 2  # the header and at least two alarms
+def test_synth_mode_alarms_are_the_event_apis(tmp_path, capsys, extra):
+    assert assert_drift_and_run_give_the_reference_alarms(tmp_path, write_config(tmp_path, extra), capsys) >= 2
 
 
 @pytest.mark.parametrize("extra", CASES.values(), ids=CASES)
-def test_file_mode_drift_equals_the_event_path(tmp_path, capsys, forks, extra):
-    code, _, _, alarms = assert_both_paths_agree(file_config(tmp_path, extra), tmp_path / "o", capsys)
-    assert code == 0 and alarms.count(b"\n") > 2
-    assert len(forks) == 2  # the column path's load and the event path's
+def test_file_mode_alarms_are_the_event_apis(tmp_path, capsys, forks, extra):
+    assert assert_drift_and_run_give_the_reference_alarms(tmp_path, file_config(tmp_path, extra), capsys) >= 2
+    assert len(forks) == 2  # drift's load and run's; run's one model forks nothing
 
 
 @pytest.mark.parametrize("extra", [CASES["ratio"], CASES["feature-and-direction"]], ids=["ratio", "feature"])
-def test_chunks_of_events_give_the_alarms_of_the_event_path(tmp_path, monkeypatch, capsys, forks, extra):
-    """Every row carries a non-canonical column, so every chunk goes to the row loop and its item is events."""
-
-    def add_site(name, lines):
-        lines[:] = [lines[0] + ",site", *(f"{line},rack-{i % 3}" for i, line in enumerate(lines[1:]))]
-
-    monkeypatch.setattr(streams, "_CHUNK_ROWS", 256)
-    cfg_path = file_config(tmp_path, extra, add_site)
-    cfg = load_config(cfg_path)
-    for path in (cfg.stream.sfd_path, cfg.stream.hfd_path):
-        items = streams.read_chunks(path, column_map=cfg.stream.column_map)
-        assert len(items) > 1 and all(isinstance(item, list) for item in items)
-    code, _, _, alarms = assert_both_paths_agree(cfg_path, tmp_path / "o", capsys)
-    assert code == 0 and alarms.count(b"\n") > 2
+def test_chunks_of_events_give_the_alarms_of_the_event_api(tmp_path, monkeypatch, capsys, forks, extra):
+    cfg_path = row_loop_config(tmp_path, monkeypatch, extra)
+    assert assert_drift_and_run_give_the_reference_alarms(tmp_path, cfg_path, capsys) >= 2
 
 
 def no_failures(name, lines):
@@ -138,17 +154,22 @@ def empty_sfd_beside_no_failures(name, lines):
     ],
     ids=["empty-sfd-first", "no-failures-ratio", "no-failures-count"],
 )
-def test_file_mode_errors_keep_the_event_paths_precedence(tmp_path, capsys, forks, edit, oversample, code, message):
+def test_file_mode_errors_name_the_empty_segment_first(tmp_path, capsys, forks, edit, oversample, code, message):
+    """The event API would oversample first, and so raise NoFailureSamples even beside an empty sfd.csv."""
     cfg_path = file_config(tmp_path, {"oversample": oversample}, edit)
-    assert assert_both_paths_agree(cfg_path, tmp_path / "o", capsys) == (code, "", message, None)
+    with pytest.raises(NoFailureSamples):
+        reference(cfg_path)
+    for command in ("drift", "run"):
+        assert outcome(command, cfg_path, tmp_path / command, capsys) == (code, "", message, None)
 
 
-def test_an_empty_synthetic_hfd_segment_names_its_field_on_both_paths(tmp_path, capsys):
+def test_an_empty_synthetic_hfd_segment_names_its_field(tmp_path, capsys):
     synth = {**SMALL_SYNTH["synth"], "n_hfd": 0, "hfd_episodes": 0}
     cfg_path = write_config(tmp_path, {"stream": {"mode": "synth", "synth": synth}, "oversample": RATIO})
-    assert assert_both_paths_agree(cfg_path, tmp_path / "o", capsys) == (
-        2, "", "config error: config field 'stream.synth.n_hfd': the streamed segment is empty\n", None
-    )
+    for command in ("drift", "run"):
+        assert outcome(command, cfg_path, tmp_path / command, capsys) == (
+            2, "", "config error: config field 'stream.synth.n_hfd': the streamed segment is empty\n", None
+        )
 
 
 @pytest.mark.parametrize("mode", ["synth", "file"])
@@ -160,7 +181,7 @@ def test_drift_builds_no_event(tmp_path, monkeypatch, mode):
         built.append(args[0])
         init(self, *args, **kwargs)
 
-    def refused(chunks):
+    def refused(*args):
         raise AssertionError("drift built events")
 
     cfg_path = write_config(tmp_path, {"oversample": RATIO}) if mode == "synth" else file_config(
@@ -168,8 +189,52 @@ def test_drift_builds_no_event(tmp_path, monkeypatch, mode):
     )
     monkeypatch.setattr(TelemetryEvent, "__init__", counted)
     monkeypatch.setattr(streams, "events_of", refused)
-    monkeypatch.setattr(cli, "events_of", refused)
+    monkeypatch.setattr(cli, "TelemetryEvent", refused)
     no_fork(monkeypatch)  # so that both files are read, and counted, in this process
     assert main(["drift", "--config", cfg_path, "--out", str(tmp_path / "o"), "--quiet"]) == 0
     assert built == []
     assert (tmp_path / "o" / "drift_events.csv").read_bytes().count(b"\n") > 2
+
+
+def fields(events):
+    """Every field of every event but ``meta``, which equality ignores: floats as hex, enums by identity."""
+    return [
+        (e.timestamp, *(v.hex() for v in (e.ber_tx, e.osnr_tx, e.ber_rx, e.osnr_rx)), id(e.label), id(e.segment))
+        for e in events
+    ]
+
+
+@pytest.mark.parametrize("mode", ["synth", "file", "row-loop"])
+def test_run_and_bench_stream_the_event_apis_events(tmp_path, monkeypatch, mode):
+    """The pretrain and stream events that ``run`` and ``bench`` hand their models, against the reference's."""
+    extra = {"oversample": COUNT, "models": ["lr"]}  # the test stream's hfd segment is already half failures
+    if mode == "synth":
+        cfg_path = write_config(tmp_path, extra)
+    elif mode == "file":
+        cfg_path = file_config(tmp_path, extra)
+    else:
+        cfg_path = row_loop_config(tmp_path, monkeypatch, extra)
+    pretrain, stream = reference(cfg_path)
+    assert any(e.segment is Segment.OVERSAMPLED for e in stream)
+    if mode == "row-loop":  # the reference keeps the site column; no CLI output reads it
+        assert pretrain[0].meta == {"site": "rack-0"}
+    seen = {}
+
+    def recording(name, call, *positions):
+        def wrapper(*args, **kwargs):
+            seen.setdefault(name, [args[i] for i in positions])
+            return call(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, wrapper)
+
+    recording("prequential_run", cli.prequential_run, 2, 3)
+    recording("_pretrain", cli._pretrain, 1)
+    recording("latency_benchmark", cli.latency_benchmark, 1)
+    no_fork(monkeypatch)  # so that every call is made, and recorded, in this process
+    assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "run"), "--quiet"]) == 0
+    assert main(["bench", "--config", cfg_path, "--out", str(tmp_path / "bench"), "--quiet", "--trials", "1"]) == 0
+    run_pretrain, run_stream = seen["prequential_run"]
+    assert fields(run_pretrain) == fields(pretrain)
+    assert fields(run_stream) == fields(stream)
+    assert fields(seen["_pretrain"][0]) == fields(pretrain)
+    assert fields(seen["latency_benchmark"][0]) == fields(stream[: load_config(cfg_path).bench.events_per_trial])

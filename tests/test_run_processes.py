@@ -205,7 +205,7 @@ def test_a_split_forest_writes_the_bytes_of_a_one_cpu_run(tmp_path, monkeypatch,
 def test_a_failing_share_in_the_child_exits_like_a_serial_run(tmp_path, monkeypatch, capsys, forks, segment, line):
     # the last tree slot, one of the child's, fails on one event's features
     cfg = write_config(tmp_path, {"models": list(MODELS)})
-    pretrain, stream, _, _ = cli._assemble(load_config(cfg))
+    pretrain, stream = cli._events(*cli._assemble(load_config(cfg), cli._EVENT_FIELDS))
     fails_on = to_features(stream[3] if segment == "stream" else pretrain[0])
     init, route = AdaptiveRandomForest.__init__, HoeffdingTree._route
 
