@@ -92,8 +92,9 @@ def test_only_stream_building_and_writing_run_paused(tmp_path, monkeypatch):
 
     def recording(name, call):
         def wrapper(*args, **kwargs):
-            if name != "TelemetryEvent" or seen[-1][0] != name:  # one entry per build, not per event
-                seen.append((name, gc.isenabled()))
+            entry = (name, gc.isenabled())
+            if name != "TelemetryEvent" or seen[-1] != entry:  # one entry per build, unless its state changes
+                seen.append(entry)
             return call(*args, **kwargs)
 
         monkeypatch.setattr(cli, name, wrapper)

@@ -30,6 +30,8 @@ from test_run_processes import assert_no_children
 RATIO = {"target_failure_ratio": 0.5}
 COUNT = {"target_failure_count": 900}
 PHT = {"feature_index": 1, "direction": "decrease", "threshold": 2.0, "min_instances": 10}
+# one hard-failure episode of 200 rows in 800, so that a 0.5 ratio adds copies too
+ONE_HFD_EPISODE = {"stream": {**SMALL_SYNTH, "synth": {**SMALL_SYNTH["synth"], "hfd_episodes": 1}}}
 
 
 def reference(cfg_path):
@@ -50,7 +52,9 @@ def reference(cfg_path):
 def reference_alarms(cfg_path, path):
     """(boundary, alarm count, drift_events.csv bytes) of ``detect_drifts_per_class`` over the reference stream."""
     pretrain, stream = reference(cfg_path)
-    alarms = detect_drifts_per_class(pretrain + stream, **dataclasses.asdict(load_config(cfg_path).pht))
+    cfg = load_config(cfg_path)
+    assert any(e.segment is Segment.OVERSAMPLED for e in stream) == (cfg.oversample is not None)
+    alarms = detect_drifts_per_class(pretrain + stream, **dataclasses.asdict(cfg.pht))
     write_drift_csv(alarms, str(path))
     return len(pretrain), len(alarms), path.read_bytes()
 
@@ -80,8 +84,16 @@ def assert_drift_and_run_give_the_reference_alarms(tmp_path, cfg_path, capsys):
     return n_alarms
 
 
+def one_failure_episode(name, lines):
+    """hfd.csv's first failure episode (data rows 100-299) relabeled normal: ``ONE_HFD_EPISODE`` in file mode."""
+    if name == "hfd":
+        for row in range(101, 301):
+            set_cell(lines, row, 5, "0")
+
+
 def add_site(name, lines):
     """Every row carries a non-canonical column, so every chunk goes to the row loop and its item is events."""
+    one_failure_episode(name, lines)
     lines[:] = [lines[0] + ",site", *(f"{line},rack-{i % 3}" for i, line in enumerate(lines[1:]))]
 
 
@@ -117,12 +129,14 @@ CASES = {
 
 @pytest.mark.parametrize("extra", CASES.values(), ids=CASES)
 def test_synth_mode_alarms_are_the_event_apis(tmp_path, capsys, extra):
-    assert assert_drift_and_run_give_the_reference_alarms(tmp_path, write_config(tmp_path, extra), capsys) >= 2
+    cfg_path = write_config(tmp_path, {**ONE_HFD_EPISODE, **extra})
+    assert assert_drift_and_run_give_the_reference_alarms(tmp_path, cfg_path, capsys) >= 2
 
 
 @pytest.mark.parametrize("extra", CASES.values(), ids=CASES)
 def test_file_mode_alarms_are_the_event_apis(tmp_path, capsys, forks, extra):
-    assert assert_drift_and_run_give_the_reference_alarms(tmp_path, file_config(tmp_path, extra), capsys) >= 2
+    cfg_path = file_config(tmp_path, extra, one_failure_episode)
+    assert assert_drift_and_run_give_the_reference_alarms(tmp_path, cfg_path, capsys) >= 2
     assert len(forks) == 2  # drift's load and run's; run's one model forks nothing
 
 
@@ -184,9 +198,10 @@ def test_drift_builds_no_event(tmp_path, monkeypatch, mode):
     def refused(*args):
         raise AssertionError("drift built events")
 
-    cfg_path = write_config(tmp_path, {"oversample": RATIO}) if mode == "synth" else file_config(
-        tmp_path, {"oversample": RATIO}
-    )
+    if mode == "synth":
+        cfg_path = write_config(tmp_path, {**ONE_HFD_EPISODE, "oversample": RATIO})
+    else:
+        cfg_path = file_config(tmp_path, {"oversample": RATIO}, one_failure_episode)
     monkeypatch.setattr(TelemetryEvent, "__init__", counted)
     monkeypatch.setattr(streams, "events_of", refused)
     monkeypatch.setattr(cli, "TelemetryEvent", refused)
@@ -207,11 +222,11 @@ def fields(events):
 @pytest.mark.parametrize("mode", ["synth", "file", "row-loop"])
 def test_run_and_bench_stream_the_event_apis_events(tmp_path, monkeypatch, mode):
     """The pretrain and stream events that ``run`` and ``bench`` hand their models, against the reference's."""
-    extra = {"oversample": COUNT, "models": ["lr"]}  # the test stream's hfd segment is already half failures
+    extra = {"oversample": RATIO, "models": ["lr"]}
     if mode == "synth":
-        cfg_path = write_config(tmp_path, extra)
+        cfg_path = write_config(tmp_path, {**ONE_HFD_EPISODE, **extra})
     elif mode == "file":
-        cfg_path = file_config(tmp_path, extra)
+        cfg_path = file_config(tmp_path, extra, one_failure_episode)
     else:
         cfg_path = row_loop_config(tmp_path, monkeypatch, extra)
     pretrain, stream = reference(cfg_path)
