@@ -10,8 +10,10 @@ one forked child, and the last stays in this process, and one pipe carries
 the child's messages, its result last. When arf is that last model, the
 child first pretrains the last half of its tree slots (rounded down) and
 hands them over on the same pipe. ``run``, ``bench`` and ``drift`` merge the
-stream as columns in ``_assemble``: ``drift`` takes the labels and one
-feature and builds no event, ``run`` and ``bench`` build each event once.
+stream as columns in ``_assemble``, and each segment arrives from
+``_load_segments`` as only the columns the command reads, dropped in the
+process that loaded it: ``drift`` takes the labels and one feature and
+builds no event, ``run`` and ``bench`` build each event once.
 ``run`` and ``drift`` detect drift through ``_localize``.
 """
 
@@ -42,7 +44,7 @@ from .evaluation import (
     write_latency_raw,
     write_latency_table,
 )
-from .streams import columns_of, encoded_rows, oversample_sources, read_chunks, synthetic_columns, write_rows
+from .streams import encoded_rows, oversample_sources, read_columns, synthetic_columns, write_rows
 from .telemetry import CSV_COLUMNS, FEATURE_NAMES, Segment, TelemetryEvent, serialize_fields
 
 EXIT_OK = 0
@@ -113,24 +115,29 @@ def _write_manifest(cfg: ExperimentConfig, command: str) -> None:
         json.dump(manifest, fh, sort_keys=True, indent=2)
 
 
-def _load_segments(cfg: ExperimentConfig) -> tuple[list, list]:
-    """The two segments as ``read_chunks`` items: the seeded generator's columns, or files read through ``_run_forked``.
+def _load_segments(cfg: ExperimentConfig, names: tuple) -> tuple[tuple, tuple]:
+    """The two segments' columns ``names`` (of ``CSV_COLUMNS``): the generator's, or the files' through ``_run_forked``.
 
     In file mode a forked child reads sfd.csv, the first file and the
     larger one on the benchmark's stream, while this process reads
-    hfd.csv. Only the child's parsed columns cross the pipe, since events
-    pickle about thirty times slower than the columns they are built from.
+    hfd.csv. Each process keeps only the named columns of its segment, so
+    only those cross the pipe, as lists, whichever path parsed the rows.
     """
+    positions = list(map(CSV_COLUMNS.index, names))
+
+    def named(columns: tuple) -> tuple:
+        return tuple(map(columns.__getitem__, positions))
+
     stream = cfg.stream
     if stream.mode == "synth":
-        sfd, hfd = synthetic_columns(stream.synth, named_seed(cfg.seed, "generator"))
-        return [sfd], [hfd]
+        return tuple(map(named, synthetic_columns(stream.synth, named_seed(cfg.seed, "generator"))))
     files = {"sfd": (stream.sfd_path, Segment.SFD), "hfd": (stream.hfd_path, Segment.HFD)}
-    segments = _run_forked(
-        "segment",
-        list(files),
-        lambda name, _: read_chunks(files[name][0], column_map=stream.column_map, default_segment=files[name][1]),
-    )
+
+    def read(name, _):
+        path, segment = files[name]
+        return named(read_columns(path, column_map=stream.column_map, default_segment=segment))
+
+    segments = _run_forked("segment", list(files), read)
     return segments["sfd"], segments["hfd"]
 
 
@@ -162,7 +169,7 @@ def _assemble(cfg: ExperimentConfig, names: tuple) -> tuple[tuple, int]:
     arrive after all organic events. The merged timestamps are the positions.
     """
     with _collector_paused():
-        sfd, hfd = (columns_of(items, names) for items in _load_segments(cfg))
+        sfd, hfd = _load_segments(cfg, names)
         boundary, n_hfd = len(sfd[0]), len(hfd[0])
         if boundary == 0:  # only a file can be empty: n_sfd is at least 1
             raise ConfigError("stream.sfd_path", "the pretraining segment is empty")
@@ -188,9 +195,14 @@ def _events(columns: tuple, boundary: int) -> tuple[list, list]:
     """(pretrain, stream): the events of ``_assemble``'s merged ``_EVENT_FIELDS`` columns, split at the boundary.
 
     Each event is built once, with its merged position as its timestamp.
+    The columns are emptied once the events hold their values, so their
+    arrays (0.7 MB on the default config) are freed before the two slices
+    are made, which reuse that space, and the heap can give pages back.
     """
     with _collector_paused():
         events = list(map(TelemetryEvent, range(len(columns[0])), *columns))
+        for column in columns:
+            column.clear()
     return events[:boundary], events[boundary:]
 
 
@@ -430,7 +442,6 @@ def cmd_run(cfg: ExperimentConfig, args: argparse.Namespace) -> None:
     columns, boundary = _assemble(cfg, _EVENT_FIELDS)
     _localize(cfg, _EVENT_FIELDS, columns)
     pretrain, stream = _events(columns, boundary)
-    del columns  # the events hold every value; the lists (0.7 MB on the default config) would raise the peak RSS
     entries = _run_models(
         cfg, pretrain, lambda n, slots, share: _run_model(cfg, n, pretrain, stream, args.save_models, slots, share)
     )

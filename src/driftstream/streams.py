@@ -194,7 +194,7 @@ def load_csv(
     column_map: Optional[dict] = None,
     default_segment: Segment = Segment.SFD,
 ) -> list[TelemetryEvent]:
-    """Load one segment from a CSV file, preserving row order.
+    """Load one segment from a CSV file, preserving row order: the events of ``read_columns``.
 
     ``column_map`` renames source headers to the canonical column names
     (for example ``{"OSNR_SPO2": "osnr_rx"}``). Rows are validated through
@@ -220,69 +220,49 @@ def load_csv(
     step is validated again row by row through ``validate``, which alone
     defines a valid row and names the error.
     """
-    return events_of(read_chunks(path, column_map=column_map, default_segment=default_segment))
+    return list(map(TelemetryEvent, *read_columns(path, column_map=column_map, default_segment=default_segment)))
 
 
-def read_chunks(path: str, *, column_map: Optional[dict] = None, default_segment: Segment = Segment.SFD) -> list:
-    """``load_csv`` up to its events: one item per chunk, the chunk's parsed columns or the row loop's events.
+def read_columns(path: str, *, column_map: Optional[dict] = None, default_segment: Segment = Segment.SFD) -> tuple:
+    """``load_csv``'s segment before its events are built: one list per ``TelemetryEvent`` field, in field order.
 
-    A columns item is a tuple of lists (timestamps may be a range) in
-    ``TelemetryEvent`` field order, so the items pickle cheaply across a
-    fork; ``events_of`` builds the events, and ``columns_of`` reads chosen columns.
+    ``meta`` is an eighth column only when the mapped header names a
+    column that is not canonical (then every chunk takes the row loop, and
+    every event has a ``meta`` dict); otherwise every event's is None and
+    there are seven. Without a timestamp column the timestamps are
+    ``range(n)``, the row loop's ``index`` defaults. A column path chunk
+    and a row loop chunk land in the same lists, so the whole segment
+    pickles as a few lists across a fork, whichever path read it.
     """
     with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
-        return _read_chunks(csv.reader(fh), column_map, default_segment)
-
-
-def events_of(chunks: list) -> list[TelemetryEvent]:
-    """The events of ``read_chunks``'s items, in order; each item is dropped from ``chunks`` once built."""
-    events: list[TelemetryEvent] = []
-    chunks.reverse()
-    while chunks:
-        chunk = chunks.pop()
-        events.extend(map(TelemetryEvent, *chunk) if isinstance(chunk, tuple) else chunk)
-    return events
-
-
-def columns_of(chunks: list, names: Sequence[str]) -> tuple[list, ...]:
-    """The named ``CSV_COLUMNS`` of ``read_chunks``'s items, one list each, in order, without building an event.
-
-    A row loop's events are read through their attributes. Each item is
-    dropped from ``chunks`` once read, as ``events_of`` drops it.
-    """
-    positions = list(map(CSV_COLUMNS.index, names))  # an item's columns are in the CSV's order
-    columns = tuple([] for _ in names)
-    chunks.reverse()
-    while chunks:
-        chunk = chunks.pop()
-        for column, name, position in zip(columns, names, positions):
-            column.extend(chunk[position] if isinstance(chunk, tuple) else map(operator.attrgetter(name), chunk))
-    return columns
+        return _read_columns(csv.reader(fh), column_map, default_segment)
 
 
 # the code points that errors="surrogateescape" gives undecodable bytes
 _UNDECODED = re.compile("[\udc80-\udcff]")
+# an event's fields in order, ``meta`` last
+_FIELDS_OF = operator.attrgetter(*TelemetryEvent.__slots__)
 
 
 def _unreadable(row_number: int, err: csv.Error) -> MalformedRow:
     return MalformedRow(row_number, DriftStreamError(f"unreadable CSV: {err}"))
 
 
-def _read_chunks(reader, column_map: Optional[dict], default_segment: Segment) -> list:
-    """The items of the header row and data rows that ``reader`` yields."""
-    chunks: list = []
+def _read_columns(reader, column_map: Optional[dict], default_segment: Segment) -> tuple:
+    """The columns of the header row and data rows that ``reader`` yields."""
     try:
-        header = next(reader, None)
+        header = next(reader, [])  # an empty file reads as a header of no columns
     except csv.Error as err:
         raise _unreadable(0, err) from None
-    if header is None:
-        return chunks
     if _UNDECODED.search("".join(header)):
         raise MalformedRow(0, DriftStreamError("bytes that are not UTF-8"))
     names = [column_map.get(key, key) for key in header] if column_map else header
     positions = {name: i for i, name in enumerate(names)}
+    n_fields = len(CSV_COLUMNS) if _CANONICAL_KEYS.issuperset(names) else len(TelemetryEvent.__slots__)
+    columns = [[] for _ in range(n_fields)]
     if len(positions) < len(names) or not _REQUIRED_KEYS <= positions.keys() <= _CANONICAL_KEYS:
         positions = None
+    first = 0 if "timestamp" in names else 1  # positional timestamps are one range, built at the end
     prev_ts = None
     row_number = 0
     while True:
@@ -293,16 +273,19 @@ def _read_chunks(reader, column_map: Optional[dict], default_segment: Segment) -
         except csv.Error as err:  # extend keeps the rows read before it
             error = err
         if rows := list(filter(None, chunk)):  # blank lines are skipped and not counted
-            item = _chunk_columns(rows, positions, row_number, prev_ts, default_segment) if positions else None
-            if item is None:
-                item = _validate_rows(rows, names, row_number, prev_ts, default_segment)
-            chunks.append(item)
-            prev_ts = item[0][-1] if isinstance(item, tuple) else item[-1].timestamp
+            parsed = _chunk_columns(rows, positions, row_number, prev_ts, default_segment) if positions else None
+            if parsed is None:
+                parsed = _validate_rows(rows, names, row_number, prev_ts, default_segment)
+            for column, part in zip(columns[first:], parsed[first:]):
+                column.extend(part)
+            prev_ts = parsed[0][-1]
             row_number += len(rows)
         if error is not None:
             raise _unreadable(row_number + 1, error)
         if not chunk:
-            return chunks
+            if first:
+                columns[0] = range(row_number)
+            return tuple(columns)
 
 
 def _chunk_columns(
@@ -358,9 +341,9 @@ def _validate_rows(
     row_number: int,
     prev_ts: Optional[int],
     default_segment: Segment,
-) -> list[TelemetryEvent]:
-    """Validate rows one record at a time into events; the first bad row raises."""
-    events = []
+) -> tuple:
+    """Validate rows one record at a time into events, returned as their fields' columns; the first bad row raises."""
+    fields = []
     n_names = len(names)
     for row in rows:
         row_number += 1
@@ -376,8 +359,8 @@ def _validate_rows(
         if prev_ts is not None and event.timestamp <= prev_ts:
             raise MalformedRow(row_number, OutOfRange("timestamp", event.timestamp))
         prev_ts = event.timestamp
-        events.append(event)
-    return events
+        fields.append(_FIELDS_OF(event))
+    return tuple(zip(*fields))
 
 
 def write_csv(events: Sequence[TelemetryEvent], path: str) -> None:

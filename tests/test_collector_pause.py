@@ -99,13 +99,13 @@ def test_only_stream_building_and_writing_run_paused(tmp_path, monkeypatch):
 
         monkeypatch.setattr(cli, name, wrapper)
 
-    for name in ("columns_of", "TelemetryEvent", "write_rows", "latency_benchmark", "prequential_run"):
+    for name in ("_load_segments", "TelemetryEvent", "write_rows", "latency_benchmark", "prequential_run"):
         recording(name, getattr(cli, name))
     monkeypatch.delattr(os, "fork")  # so that every call is made, and recorded, in this process
     assert gc.isenabled()
     for command in ("gen", "run", "bench"):
         assert main(cli_args(tmp_path, command)) == 0
-    assembly = [("columns_of", False), ("columns_of", False), ("TelemetryEvent", False)]
+    assembly = [("_load_segments", False), ("TelemetryEvent", False)]
     assert seen == [
         ("write_rows", False),
         ("write_rows", False),

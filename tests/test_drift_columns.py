@@ -24,7 +24,7 @@ from driftstream.telemetry import Segment, TelemetryEvent
 
 from test_cli import SMALL_SYNTH, write_config
 from test_gen_processes import no_fork
-from test_load_processes import set_cell, write_segments
+from test_load_processes import add_site_column, chunk_paths, set_cell, write_segments
 from test_run_processes import assert_no_children
 
 RATIO = {"target_failure_ratio": 0.5}
@@ -92,9 +92,9 @@ def one_failure_episode(name, lines):
 
 
 def add_site(name, lines):
-    """Every row carries a non-canonical column, so every chunk goes to the row loop and its item is events."""
+    """``one_failure_episode`` in files whose every chunk goes to the row loop."""
     one_failure_episode(name, lines)
-    lines[:] = [lines[0] + ",site", *(f"{line},rack-{i % 3}" for i, line in enumerate(lines[1:]))]
+    add_site_column(name, lines)
 
 
 def file_config(tmp_path, extra, edit=None):
@@ -114,8 +114,8 @@ def row_loop_config(tmp_path, monkeypatch, extra):
     cfg_path = file_config(tmp_path, extra, add_site)
     cfg = load_config(cfg_path)
     for path in (cfg.stream.sfd_path, cfg.stream.hfd_path):
-        items = streams.read_chunks(path, column_map=cfg.stream.column_map)
-        assert len(items) > 1 and all(isinstance(item, list) for item in items)
+        _, paths = chunk_paths(monkeypatch, path, cfg.stream.column_map)
+        assert len(paths) > 1 and set(paths) == {"rows"}
     return cfg_path
 
 
@@ -141,7 +141,7 @@ def test_file_mode_alarms_are_the_event_apis(tmp_path, capsys, forks, extra):
 
 
 @pytest.mark.parametrize("extra", [CASES["ratio"], CASES["feature-and-direction"]], ids=["ratio", "feature"])
-def test_chunks_of_events_give_the_alarms_of_the_event_api(tmp_path, monkeypatch, capsys, forks, extra):
+def test_row_loop_chunks_give_the_alarms_of_the_event_api(tmp_path, monkeypatch, capsys, forks, extra):
     cfg_path = row_loop_config(tmp_path, monkeypatch, extra)
     assert assert_drift_and_run_give_the_reference_alarms(tmp_path, cfg_path, capsys) >= 2
 
@@ -203,7 +203,6 @@ def test_drift_builds_no_event(tmp_path, monkeypatch, mode):
     else:
         cfg_path = file_config(tmp_path, {"oversample": RATIO}, one_failure_episode)
     monkeypatch.setattr(TelemetryEvent, "__init__", counted)
-    monkeypatch.setattr(streams, "events_of", refused)
     monkeypatch.setattr(cli, "TelemetryEvent", refused)
     no_fork(monkeypatch)  # so that both files are read, and counted, in this process
     assert main(["drift", "--config", cfg_path, "--out", str(tmp_path / "o"), "--quiet"]) == 0

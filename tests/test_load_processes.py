@@ -1,15 +1,18 @@
 """File-mode loads under the shared fork rule: sfd.csv is read in one forked child, hfd.csv in the parent.
 
-The child sends the parsed columns of its chunks, and the parent builds
-their events. Each forked load is compared with an inline one (``os.fork``
-deleted, or a host that reports one usable CPU): the same output bytes, the
-same events field by field, and on failure the same exit code and stderr
-line, with the sfd error first when both files fail. Forked runs take the
-``forks`` fixture, which reports two usable CPUs whatever the host has.
-After every call, no child process is left to reap.
+The child sends only the columns its command reads, as lists, whichever
+path parsed its rows, and the parent builds any events. Each forked load is
+compared with an inline one (``os.fork`` deleted, or a host that reports
+one usable CPU): the same output bytes, the same events field by field,
+and on failure the same exit code and stderr line, with the sfd error
+first when both files fail. Forked runs take the ``forks`` fixture, which
+reports two usable CPUs whatever the host has. After every call, no child
+process is left to reap.
 """
 
+import copy
 import os
+import pickle
 import signal
 
 import pytest
@@ -18,7 +21,7 @@ from driftstream import cli, streams
 from driftstream.cli import main
 from driftstream.config import load_config
 from driftstream.streams import SynthConfig, generate_synthetic_segments, write_csv
-from driftstream.telemetry import Label, Segment
+from driftstream.telemetry import CSV_COLUMNS, Label, Segment, TelemetryEvent
 
 from conftest import one_cpu
 from test_cli import read_bytes_tree, write_config
@@ -51,6 +54,11 @@ def set_cell(lines, row, column, value):
     cells = lines[row].split(",")
     cells[column] = value
     lines[row] = ",".join(cells)
+
+
+def add_site_column(name, lines):
+    """Every row carries a non-canonical column, so every chunk of the file goes to the row loop."""
+    lines[:] = [lines[0] + ",site", *(f"{line},rack-{i % 3}" for i, line in enumerate(lines[1:]))]
 
 
 def fields(events):
@@ -101,50 +109,108 @@ def test_a_bad_row_exits_like_an_inline_load(tmp_path, monkeypatch, capsys, fork
     assert forked.err == f"error: malformed row {BAD_ROW[bad[0]]}: value out of range for label: 2\n"
 
 
-def test_a_file_whose_chunks_mix_both_paths_loads_the_events_of_an_inline_load(tmp_path, monkeypatch, forks):
+def chunk_paths(monkeypatch, path, column_map):
+    """(``read_columns``'s result, the path that parsed each chunk): "columns" or "rows"."""
+    paths = []
+    chunk_columns, validate_rows = streams._chunk_columns, streams._validate_rows
+
+    def columns(*args):
+        parsed = chunk_columns(*args)
+        if parsed is not None:
+            paths.append("columns")
+        return parsed
+
+    def rows(*args):
+        paths.append("rows")
+        return validate_rows(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(streams, "_chunk_columns", columns)
+        patch.setattr(streams, "_validate_rows", rows)
+        return streams.read_columns(path, column_map=column_map), paths
+
+
+def test_a_file_whose_chunks_mix_both_paths_loads_the_columns_of_an_inline_load(tmp_path, monkeypatch, forks):
     """sfd.csv's chunks mix the column path and the row loop; every hfd.csv row carries metadata."""
 
     def edit(name, lines):
         if name == "sfd":
             set_cell(lines, 100, 5, "1.0")  # validate reads it as label 1; the column path does not
         else:
-            lines[:] = [lines[0] + ",site", *(f"{line},rack-{i % 3}" for i, line in enumerate(lines[1:]))]
+            add_site_column(name, lines)
 
     cfg = load_config(write_segments(tmp_path, edit))
     monkeypatch.setattr(streams, "_CHUNK_ROWS", 64)
-    kinds = {
-        name: {type(item) for item in streams.read_chunks(path, column_map=cfg.stream.column_map)}
+    read = {
+        name: chunk_paths(monkeypatch, path, cfg.stream.column_map)
         for name, path in (("sfd", cfg.stream.sfd_path), ("hfd", cfg.stream.hfd_path))
     }
-    assert kinds == {"sfd": {tuple, list}, "hfd": {list}}
-    forked = list(map(streams.events_of, cli._load_segments(cfg)))
+    assert {name: set(paths) for name, (_, paths) in read.items()} == {"sfd": {"columns", "rows"}, "hfd": {"rows"}}
+    assert len(read["sfd"][0]) == 7 and read["hfd"][0][7][4] == {"site": "rack-1"}  # meta, the eighth column
+    forked = cli._load_segments(cfg, CSV_COLUMNS)
     assert_no_children()
     assert len(forks) == 1
     no_fork(monkeypatch)
-    inline = list(map(streams.events_of, cli._load_segments(cfg)))
+    inline = cli._load_segments(cfg, CSV_COLUMNS)
     assert_no_children()
-    assert [fields(events) for events in forked] == [fields(events) for events in inline]
-    sfd, hfd = forked
+    expected = [fields(map(TelemetryEvent, *read[name][0][:7])) for name in ("sfd", "hfd")]  # meta is not asked for
+    assert [fields(map(TelemetryEvent, *columns)) for columns in inline] == expected
+    sfd, hfd = (list(map(TelemetryEvent, *columns)) for columns in forked)
+    assert [fields(sfd), fields(hfd)] == expected
     assert sfd[99].label is Label.FAILURE  # the row spelled 1.0
     assert {id(e.label) for e in sfd + hfd} == {id(label) for label in Label}
     assert {id(e.segment) for e in sfd} == {id(Segment.SFD)} and {id(e.segment) for e in hfd} == {id(Segment.HFD)}
-    assert sfd[0].meta is None and hfd[4].meta == {"site": "rack-1"}
 
 
 def test_a_killed_child_exits_4_naming_the_segment(tmp_path, monkeypatch, capsys, forks):
-    read_chunks = cli.read_chunks
+    read_columns = cli.read_columns
 
     def killed_sfd(path, **kwargs):
         if path.endswith("sfd.csv"):
             os.kill(os.getpid(), signal.SIGKILL)
-        return read_chunks(path, **kwargs)
+        return read_columns(path, **kwargs)
 
-    monkeypatch.setattr(cli, "read_chunks", killed_sfd)
+    monkeypatch.setattr(cli, "read_columns", killed_sfd)
     assert main(["drift", "--config", write_segments(tmp_path), "--out", str(tmp_path / "o")]) == 4
     assert_no_children()
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: segment 'sfd': its process was killed by signal {int(signal.SIGKILL)} without a result\n"
+
+
+@pytest.mark.parametrize("edit", [None, add_site_column], ids=["canonical", "row-loop"])
+@pytest.mark.parametrize(
+    "command, names",
+    [(["drift"], ("label", "osnr_rx")), (["run", "--models", "lr"], CSV_COLUMNS[1:])],
+    ids=["drift", "run"],
+)
+def test_the_child_sends_the_named_columns_and_no_event(tmp_path, monkeypatch, forks, edit, command, names):
+    cfg_path = write_segments(tmp_path, edit)
+    cfg = load_config(cfg_path)
+    expected = streams.read_columns(cfg.stream.sfd_path, column_map=cfg.stream.column_map)
+    assert len(expected) == (7 if edit is None else 8)
+    received = []
+    load = pickle.load
+
+    def recording(fh):
+        message = load(fh)
+        received.append(copy.deepcopy(message))  # the parent then extends the columns it received
+        return message
+
+    def refused(self, protocol):
+        raise AssertionError("an event was pickled")
+
+    monkeypatch.setattr(pickle, "load", recording)
+    monkeypatch.setattr(TelemetryEvent, "__reduce_ex__", refused)
+    out = tmp_path / "o"
+    assert main([*command, "--config", cfg_path, "--out", str(out), "--quiet"]) == 0
+    assert_no_children()
+    assert len(forks) == 1
+    [(status, segments)] = received
+    assert status == "ok" and list(segments) == ["sfd"]
+    assert segments["sfd"] == tuple(expected[CSV_COLUMNS.index(name)] for name in names)
+    assert all(type(column) is list for column in segments["sfd"])
+    assert (out / "drift_events.csv").read_bytes().count(b"\n") > 2
 
 
 EMPTY = {"no-bytes": "", "header-only": "timestamp,ber_tx,osnr_tx,ber_rx,OSNR_SPO2,label,segment\n"}

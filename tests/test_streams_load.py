@@ -14,13 +14,13 @@ import re
 from typing import Optional
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from driftstream import streams
 from driftstream.errors import DriftStreamError, MalformedRow, OutOfRange, UnparsableNumber
 from driftstream.streams import load_csv
-from driftstream.telemetry import CSV_COLUMNS, Segment, validate
+from driftstream.telemetry import CSV_COLUMNS, Segment, TelemetryEvent, validate
 
 
 def _events_per_row(reader, column_map: Optional[dict], default_segment: Segment) -> list:
@@ -177,30 +177,42 @@ def _csv_files(draw):
     return "\n".join(lines) + "\n", column_map
 
 
+# no timestamp column; row 4's label, spelled 1.0, sends its chunk in the middle of the file to the row loop
+_NO_TIMESTAMP = "\n".join(
+    [",".join(CSV_COLUMNS[1:]), *(f"1e-9,32.0,1e-6,25.0,{label},HFD" for label in ("0", "0", "1", "1.0", "0", "0"))]
+)
+
+
 @settings(max_examples=400, deadline=None)
 @given(_csv_files(), st.sampled_from(list(Segment)))
+@example((_NO_TIMESTAMP + "\n", None), Segment.SFD)
 def test_load_csv_equals_the_per_row_loop_for_any_chunk_size(tmp_path_factory, file, default_segment):
+    """Without a timestamp column, ``read_columns`` gives the per-row loop's ``index`` defaults as a range."""
     text, column_map = file
     path = str(tmp_path_factory.mktemp("load") / "seg.csv")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
     kwargs = {"column_map": column_map, "default_segment": default_segment}
     expected = _outcome(_load_csv_per_row, path, **kwargs)
+    positional = "timestamp" not in text.partition("\n")[0].split(",") and isinstance(expected, list)
     default = streams._CHUNK_ROWS
     try:
         for size in _CHUNK_SIZES:
             streams._CHUNK_ROWS = size
             assert _outcome(load_csv, path, **kwargs) == expected, size
+            if positional:
+                timestamps = streams.read_columns(path, **kwargs)[0]
+                assert type(timestamps) is range and list(timestamps) == [event[1] for event in expected], size
     finally:
         streams._CHUNK_ROWS = default
 
 
-def _load_pickled_chunks(path, **kwargs):
-    """load_csv, with ``read_chunks``'s items sent through pickle as a forked child sends them."""
-    chunks = streams.read_chunks(path, **kwargs)
-    for chunk in chunks:  # nothing that pickles through itertools, which Python 3.14 stops pickling
-        assert isinstance(chunk, list) or all(type(column) in (list, range) for column in chunk)
-    return streams.events_of(pickle.loads(pickle.dumps(chunks)))
+def _load_pickled_columns(path, **kwargs):
+    """load_csv, with ``read_columns``'s result sent through pickle as a forked child sends it."""
+    columns = streams.read_columns(path, **kwargs)
+    # nothing that pickles through itertools, which Python 3.14 stops pickling
+    assert all(type(column) in (list, range) for column in columns)
+    return list(map(TelemetryEvent, *pickle.loads(pickle.dumps(columns))))
 
 
 @settings(max_examples=200, deadline=None)
@@ -215,7 +227,7 @@ def test_pickled_chunks_build_the_events_load_csv_returns(tmp_path_factory, file
     try:
         for size in (1, 3, 4096):
             streams._CHUNK_ROWS = size
-            assert _outcome(_load_pickled_chunks, path, **kwargs) == _outcome(load_csv, path, **kwargs), size
+            assert _outcome(_load_pickled_columns, path, **kwargs) == _outcome(load_csv, path, **kwargs), size
     finally:
         streams._CHUNK_ROWS = default
 
