@@ -15,8 +15,9 @@ its pass count and wall time, and writes ``BENCH_8.json``.
     python3 scripts/bench_snapshot.py --trajectory
 
 prints one row per committed ``BENCH_<n>.json`` instead, oldest measured
-commit first: each workload's ``wall_s``, the Tier-1 time and the line count
-of ``src/``, so that speed and size read side by side. A commit printed as
+commit first: each workload's ``wall_s`` and ``peak_rss_mb``, the Tier-1
+time and the line count of ``src/``, so that speed, memory and size read
+side by side. A commit printed as
 ``<sha7>+`` means that ``src/`` held uncommitted changes on top of it when the
 snapshot was taken (the file's ``src_uncommitted`` field).
 """
@@ -130,6 +131,7 @@ def trajectory(root: str, order: dict) -> list[dict]:
             "n": int(match.group(1)),
             "commit": first["git_commit"],
             "wall_s": {w: workloads[w]["metrics"]["wall_s"] for w in WORKLOADS if w in workloads},
+            "peak_rss_mb": {w: workloads[w]["metrics"]["peak_rss_mb"] for w in WORKLOADS if w in workloads},
             "tier1_s": data["tier1"]["seconds"],
             "src_lines": first["src_lines"],
         }
@@ -140,11 +142,18 @@ def trajectory(root: str, order: dict) -> list[dict]:
     return rows
 
 
+def workload_cells(row: dict, workload: str) -> list[str]:
+    """A trajectory row's ``wall_s`` and ``peak_rss_mb`` of one workload, or dashes if it was not measured."""
+    if workload not in row["wall_s"]:
+        return ["-", "-"]
+    return [f"{row['wall_s'][workload]:.3f}", f"{row['peak_rss_mb'][workload]:.1f}"]
+
+
 def format_trajectory(rows: list[dict]) -> str:
-    header = ["bench", "commit", *(f"{w} s" for w in WORKLOADS), "tier1 s", "src lines"]
+    header = ["bench", "commit", *(f"{w} {unit}" for w in WORKLOADS for unit in ("s", "MB")), "tier1 s", "src lines"]
     table = [header] + [
         [f"BENCH_{row['n']}", row["commit"][:7] + ("+" if row.get("uncommitted") else ""),
-         *(f"{row['wall_s'][w]:.3f}" if w in row["wall_s"] else "-" for w in WORKLOADS),
+         *(cell for w in WORKLOADS for cell in workload_cells(row, w)),
          f"{row['tier1_s']:.1f}", str(row["src_lines"])]
         for row in rows
     ]

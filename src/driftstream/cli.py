@@ -29,7 +29,6 @@ import pickle
 import signal
 import sys
 import traceback
-from itertools import islice
 
 from . import __version__
 from .config import VALID_FORMATS, VALID_MODELS, ExperimentConfig, load_config, named_seed
@@ -44,8 +43,9 @@ from .evaluation import (
     write_latency_raw,
     write_latency_table,
 )
-from .streams import encoded_rows, oversample_sources, read_columns, synthetic_columns, write_rows
-from .telemetry import CSV_COLUMNS, FEATURE_NAMES, Segment, TelemetryEvent, serialize_fields
+from .streams import (array_rows, encoded_rows, oversample_sources, read_columns, synthetic_arrays, synthetic_columns,
+                      write_rows)
+from .telemetry import CSV_COLUMNS, FEATURE_NAMES, Segment, TelemetryEvent
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -120,22 +120,20 @@ def _load_segments(cfg: ExperimentConfig, names: tuple) -> tuple[tuple, tuple]:
 
     In file mode a forked child reads sfd.csv, the first file and the
     larger one on the benchmark's stream, while this process reads
-    hfd.csv. Each process keeps only the named columns of its segment, so
+    hfd.csv. Each process passes ``names`` to ``read_columns``, so a chunk
+    of its segment keeps only the named columns once it is validated, and
     only those cross the pipe, as lists, whichever path parsed the rows.
     """
-    positions = list(map(CSV_COLUMNS.index, names))
-
-    def named(columns: tuple) -> tuple:
-        return tuple(map(columns.__getitem__, positions))
-
     stream = cfg.stream
     if stream.mode == "synth":
-        return tuple(map(named, synthetic_columns(stream.synth, named_seed(cfg.seed, "generator"))))
+        positions = list(map(CSV_COLUMNS.index, names))
+        segments = synthetic_columns(stream.synth, named_seed(cfg.seed, "generator"))
+        return tuple(tuple(map(columns.__getitem__, positions)) for columns in segments)
     files = {"sfd": (stream.sfd_path, Segment.SFD), "hfd": (stream.hfd_path, Segment.HFD)}
 
     def read(name, _):
         path, segment = files[name]
-        return named(read_columns(path, column_map=stream.column_map, default_segment=segment))
+        return read_columns(path, column_map=stream.column_map, default_segment=segment, names=names)
 
     segments = _run_forked("segment", list(files), read)
     return segments["sfd"], segments["hfd"]
@@ -511,8 +509,9 @@ def cmd_bench(cfg: ExperimentConfig, args: argparse.Namespace) -> None:
 def cmd_gen(cfg: ExperimentConfig, args: argparse.Namespace) -> None:
     """Write the two synthetic segments, their rows split evenly between two processes through ``_run_forked``.
 
-    The rows are written straight from the generator's columns, so no event
-    is built. A forked child writes the header and the first
+    The rows are rendered from the generator's arrays by ``array_rows``, a
+    chunk at a time, so no event and no list of a whole segment is built,
+    in either process. A forked child writes the header and the first
     ⌈(n_sfd + n_hfd) / 2⌉ rows of sfd.csv (all of it, if it is shorter),
     while this process writes hfd.csv and renders the rest of sfd.csv as
     bytes, which it appends once the child is done. The output directory is
@@ -525,29 +524,23 @@ def cmd_gen(cfg: ExperimentConfig, args: argparse.Namespace) -> None:
     os.makedirs(cfg.out_dir, exist_ok=True)
     paths = {name: os.path.join(cfg.out_dir, f"{name}.csv") for name in ("sfd", "hfd")}
     with _collector_paused():
-        sfd, hfd = synthetic_columns(cfg.stream.synth, named_seed(cfg.seed, "generator"))
-        counts = {"sfd": len(sfd[0]), "hfd": len(hfd[0])}
-        head = (counts["sfd"] + counts["hfd"] + 1) // 2
+        sfd, hfd = synthetic_arrays(cfg.stream.synth, named_seed(cfg.seed, "generator"))
+        n_sfd, n_hfd = len(sfd[0]), len(hfd[0])
+        head = min(n_sfd, (n_sfd + n_hfd + 1) // 2)
 
         def write_hfd_and_render_tail():
-            write_rows(map(serialize_fields, *hfd), paths["hfd"])
-            return encoded_rows(map(serialize_fields, *(islice(column, head, None) for column in sfd)))
+            write_rows(array_rows(hfd, Segment.HFD, 0, n_hfd), paths["hfd"])
+            return encoded_rows(array_rows(sfd, Segment.SFD, head, n_sfd))
 
         writes = {
-            "sfd": lambda: write_rows(islice(map(serialize_fields, *sfd), head), paths["sfd"]),
+            "sfd": lambda: write_rows(array_rows(sfd, Segment.SFD, 0, head), paths["sfd"]),
             "hfd": write_hfd_and_render_tail,
         }
         tail = _run_forked("segment", list(writes), lambda name, _: writes[name]())["hfd"]
-        del sfd, hfd  # freed while paused, so that no collection walks them once it ends
         with open(paths["sfd"], "ab") as fh:
             fh.write(tail)
     if not args.quiet:
-        payload = {
-            "sfd_path": paths["sfd"],
-            "sfd_events": counts["sfd"],
-            "hfd_path": paths["hfd"],
-            "hfd_events": counts["hfd"],
-        }
+        payload = {"sfd_path": paths["sfd"], "sfd_events": n_sfd, "hfd_path": paths["hfd"], "hfd_events": n_hfd}
         print(json.dumps(payload, sort_keys=True))
 
 

@@ -30,8 +30,8 @@ import operator
 import re
 import sys
 from dataclasses import dataclass, field
-from itertools import compress, islice
-from typing import Iterable, Optional, Sequence, Union
+from itertools import compress, islice, repeat
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -53,6 +53,7 @@ from .telemetry import (
     Label,
     Segment,
     TelemetryEvent,
+    serialize_fields,
     serialize_row,
     validate,
 )
@@ -223,7 +224,8 @@ def load_csv(
     return list(map(TelemetryEvent, *read_columns(path, column_map=column_map, default_segment=default_segment)))
 
 
-def read_columns(path: str, *, column_map: Optional[dict] = None, default_segment: Segment = Segment.SFD) -> tuple:
+def read_columns(path: str, *, column_map: Optional[dict] = None, default_segment: Segment = Segment.SFD,
+                 names: Optional[Sequence[str]] = None) -> tuple:
     """``load_csv``'s segment before its events are built: one list per ``TelemetryEvent`` field, in field order.
 
     ``meta`` is an eighth column only when the mapped header names a
@@ -233,9 +235,13 @@ def read_columns(path: str, *, column_map: Optional[dict] = None, default_segmen
     ``range(n)``, the row loop's ``index`` defaults. A column path chunk
     and a row loop chunk land in the same lists, so the whole segment
     pickles as a few lists across a fork, whichever path read it.
+
+    ``names`` (of ``CSV_COLUMNS``), if given, are the columns returned, in
+    that order. Every cell of every row is still parsed and validated, but
+    each chunk extends only those lists, so the others never outlive it.
     """
     with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
-        return _read_columns(csv.reader(fh), column_map, default_segment)
+        return _read_columns(csv.reader(fh), column_map, default_segment, names)
 
 
 # the code points that errors="surrogateescape" gives undecodable bytes
@@ -248,8 +254,8 @@ def _unreadable(row_number: int, err: csv.Error) -> MalformedRow:
     return MalformedRow(row_number, DriftStreamError(f"unreadable CSV: {err}"))
 
 
-def _read_columns(reader, column_map: Optional[dict], default_segment: Segment) -> tuple:
-    """The columns of the header row and data rows that ``reader`` yields."""
+def _read_columns(reader, column_map: Optional[dict], default_segment: Segment, fields: Optional[Sequence]) -> tuple:
+    """The columns ``fields`` (all, if None) of the header row and data rows that ``reader`` yields."""
     try:
         header = next(reader, [])  # an empty file reads as a header of no columns
     except csv.Error as err:
@@ -259,10 +265,11 @@ def _read_columns(reader, column_map: Optional[dict], default_segment: Segment) 
     names = [column_map.get(key, key) for key in header] if column_map else header
     positions = {name: i for i, name in enumerate(names)}
     n_fields = len(CSV_COLUMNS) if _CANONICAL_KEYS.issuperset(names) else len(TelemetryEvent.__slots__)
-    columns = [[] for _ in range(n_fields)]
+    picks = range(n_fields) if fields is None else tuple(map(CSV_COLUMNS.index, fields))
+    columns = [[] for _ in picks]
     if len(positions) < len(names) or not _REQUIRED_KEYS <= positions.keys() <= _CANONICAL_KEYS:
         positions = None
-    first = 0 if "timestamp" in names else 1  # positional timestamps are one range, built at the end
+    positional = "timestamp" not in names  # positional timestamps are one range, built at the end
     prev_ts = None
     row_number = 0
     while True:
@@ -276,16 +283,15 @@ def _read_columns(reader, column_map: Optional[dict], default_segment: Segment) 
             parsed = _chunk_columns(rows, positions, row_number, prev_ts, default_segment) if positions else None
             if parsed is None:
                 parsed = _validate_rows(rows, names, row_number, prev_ts, default_segment)
-            for column, part in zip(columns[first:], parsed[first:]):
-                column.extend(part)
+            for column, i in zip(columns, picks):
+                if i or not positional:
+                    column.extend(parsed[i])
             prev_ts = parsed[0][-1]
             row_number += len(rows)
         if error is not None:
             raise _unreadable(row_number + 1, error)
         if not chunk:
-            if first:
-                columns[0] = range(row_number)
-            return tuple(columns)
+            return tuple(range(row_number) if positional and not i else column for column, i in zip(columns, picks))
 
 
 def _chunk_columns(
@@ -549,30 +555,50 @@ def _hfd_levels(cfg: SynthConfig, rng: np.random.Generator) -> tuple[np.ndarray,
     return osnr, labels
 
 
-def _segment_columns(
-    osnr_rx: np.ndarray,
-    labels: np.ndarray,
-    segment: Segment,
-    cfg: SynthConfig,
-    rng: np.random.Generator,
-) -> tuple:
-    n = len(osnr_rx)
+def _segment_arrays(osnr_rx: np.ndarray, labels: np.ndarray, cfg: SynthConfig, rng: np.random.Generator) -> tuple:
     osnr_rx = np.maximum(osnr_rx, 0.01)
     ber_rx = _waterfall_ber(osnr_rx, cfg, rng)
-    osnr_tx = np.maximum(cfg.osnr_tx_mean + cfg.osnr_tx_std * rng.standard_normal(n), 0.01)
-    ber_tx = _waterfall_ber(osnr_tx, cfg, rng)
-    return (
-        range(n), ber_tx.tolist(), osnr_tx.tolist(), ber_rx.tolist(), osnr_rx.tolist(),
-        list(map(LABELS.__getitem__, labels.tolist())), [segment] * n,
-    )
+    osnr_tx = np.maximum(cfg.osnr_tx_mean + cfg.osnr_tx_std * rng.standard_normal(len(osnr_rx)), 0.01)
+    return _waterfall_ber(osnr_tx, cfg, rng), osnr_tx, ber_rx, osnr_rx, labels
+
+
+def synthetic_arrays(cfg: SynthConfig, seed: SeedLike = None) -> tuple[tuple, tuple]:
+    """Each segment's ``ber_tx``, ``osnr_tx``, ``ber_rx``, ``osnr_rx`` and label arrays, 8 bytes a value.
+
+    The draws, and their order, are those every synthetic stream is made
+    of. ``synthetic_columns`` converts the arrays to lists, and
+    ``array_rows`` renders their rows a chunk at a time.
+    """
+    cfg.validate()
+    rng = np.random.default_rng(seed)
+    sfd = _segment_arrays(*_sfd_levels(cfg, rng), cfg, rng)
+    return sfd, _segment_arrays(*_hfd_levels(cfg, rng), cfg, rng)
+
+
+def _columns(arrays: tuple, segment: Segment) -> tuple:
+    *measurements, labels = arrays
+    n = len(labels)
+    labels = list(map(LABELS.__getitem__, labels.tolist()))
+    return range(n), *(array.tolist() for array in measurements), labels, [segment] * n
 
 
 def synthetic_columns(cfg: SynthConfig, seed: SeedLike = None) -> tuple[tuple, tuple]:
     """The two segments' columns in ``TelemetryEvent`` field order (timestamps local to each)."""
-    cfg.validate()
-    rng = np.random.default_rng(seed)
-    sfd = _segment_columns(*_sfd_levels(cfg, rng), Segment.SFD, cfg, rng)
-    return sfd, _segment_columns(*_hfd_levels(cfg, rng), Segment.HFD, cfg, rng)
+    sfd, hfd = synthetic_arrays(cfg, seed)
+    sfd = _columns(sfd, Segment.SFD)  # the soft-failure arrays are freed before the hard-failure ones convert
+    return sfd, _columns(hfd, Segment.HFD)
+
+
+def array_rows(arrays: tuple, segment: Segment, start: int, stop: int) -> Iterator[tuple[str, ...]]:
+    """The ``serialize_fields`` cells of rows ``start`` to ``stop`` of one segment's ``synthetic_arrays``.
+
+    The rows are converted from slices ``_CHUNK_ROWS`` at a time, so that
+    no more than one chunk of values exists as Python objects at once.
+    """
+    for low in range(start, stop, _CHUNK_ROWS):
+        high = min(low + _CHUNK_ROWS, stop)
+        values = (array[low:high].tolist() for array in arrays)
+        yield from map(serialize_fields, range(low, high), *values, repeat(segment))
 
 
 def generate_synthetic_segments(

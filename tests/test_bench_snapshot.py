@@ -59,17 +59,17 @@ def test_a_tiny_scale_report_is_rejected():
         bench_snapshot.workload_entry(report)
 
 
-def _bench_file(root, n, commit, wall_s, tier1_s, src_lines):
+def _bench_file(root, n, commit, wall_s, tier1_s, src_lines, peak_rss_mb=(40.0, 41.0, 56.5)):
     workloads = {
-        name: {"git_commit": commit, "src_lines": src_lines, "metrics": {"wall_s": wall}}
-        for name, wall in zip(bench_snapshot.WORKLOADS, wall_s)
+        name: {"git_commit": commit, "src_lines": src_lines, "metrics": {"wall_s": wall, "peak_rss_mb": peak}}
+        for name, wall, peak in zip(bench_snapshot.WORKLOADS, wall_s, peak_rss_mb)
     }
     data = {"tier1": {"passed": 1, "failed": 0, "seconds": tier1_s}, "workloads": workloads}
     (root / f"BENCH_{n}.json").write_text(json.dumps(data))
 
 
 def test_trajectory_orders_the_bench_files_by_the_commit_they_measured(tmp_path):
-    _bench_file(tmp_path, 8, "c" * 40, (1.161, 1.444, 1.23), 38.61, 2829)
+    _bench_file(tmp_path, 8, "c" * 40, (1.161, 1.444, 1.23), 38.61, 2829, (44.06, 43.75, 67.43))
     _bench_file(tmp_path, 10, "e" * 40, (0.953, 1.174), 53.92, 2987)  # no ingest-drift entry
     _bench_file(tmp_path, 3, "a" * 40, (5.79, 2.68, 2.68), 20.0, 2811)  # backfilled for an older commit
     _bench_file(tmp_path, 2, "f" * 40, (9.0, 9.0, 9.0), 1.0, 1)  # a commit outside the history goes last
@@ -80,12 +80,15 @@ def test_trajectory_orders_the_bench_files_by_the_commit_they_measured(tmp_path)
     assert rows[1] == {
         "n": 8, "commit": "c" * 40, "tier1_s": 38.61, "src_lines": 2829,
         "wall_s": dict(zip(bench_snapshot.WORKLOADS, (1.161, 1.444, 1.23))),
+        "peak_rss_mb": dict(zip(bench_snapshot.WORKLOADS, (44.06, 43.75, 67.43))),
     }
     lines = bench_snapshot.format_trajectory(rows).splitlines()
-    assert lines[0].split() == ["bench", "commit", "paper-run", "s", "serve-latency", "s", "ingest-drift", "s",
+    assert lines[0].split() == ["bench", "commit", "paper-run", "s", "paper-run", "MB", "serve-latency", "s",
+                                "serve-latency", "MB", "ingest-drift", "s", "ingest-drift", "MB",
                                 "tier1", "s", "src", "lines"]
-    assert lines[1].split() == ["BENCH_3", "aaaaaaa", "5.790", "2.680", "2.680", "20.0", "2811"]
-    assert lines[3].split() == ["BENCH_10", "eeeeeee", "0.953", "1.174", "-", "53.9", "2987"]
+    assert lines[1].split() == ["BENCH_3", "aaaaaaa", "5.790", "40.0", "2.680", "41.0", "2.680", "56.5", "20.0", "2811"]
+    assert lines[2].split() == ["BENCH_8", "ccccccc", "1.161", "44.1", "1.444", "43.8", "1.230", "67.4", "38.6", "2829"]
+    assert lines[3].split() == ["BENCH_10", "eeeeeee", "0.953", "40.0", "1.174", "41.0", "-", "-", "53.9", "2987"]
     assert len({len(line) for line in lines}) == 1  # aligned columns
 
 

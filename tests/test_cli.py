@@ -682,13 +682,16 @@ def test_an_error_line_quotes_at_most_100_characters_of_long_input(tmp_path, cap
 def test_an_io_error_line_quotes_at_most_100_characters_of_a_long_path(tmp_path, monkeypatch, capsys, command, config,
                                                                        synthesizes):
     synthesized = []
-    synthetic_columns = cli.synthetic_columns
 
-    def recorded(*args):
-        synthesized.append(command)
-        return synthetic_columns(*args)
+    def recorded(synthesize):
+        def call(*args):
+            synthesized.append(command)
+            return synthesize(*args)
 
-    monkeypatch.setattr(cli, "synthetic_columns", recorded)
+        return call
+
+    monkeypatch.setattr(cli, "synthetic_columns", recorded(cli.synthetic_columns))  # run, drift
+    monkeypatch.setattr(cli, "synthetic_arrays", recorded(cli.synthetic_arrays))  # gen
     monkeypatch.chdir(tmp_path)
     assert main([command, "--config", write_config(tmp_path, config), "--quiet"]) == 3
     err = capsys.readouterr().err

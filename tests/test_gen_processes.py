@@ -2,7 +2,9 @@
 
 A forked child writes sfd.csv's header and first ⌈(n_sfd + n_hfd) / 2⌉
 rows; the parent writes hfd.csv, renders the rest of sfd.csv as bytes and
-appends them once the child is done. Each run is compared with an inline
+appends them once the child is done. Both render their rows from the
+generator's arrays, ``streams._CHUNK_ROWS`` rows at a time, and the files
+are those ``write_csv`` writes for the generator's events. Each run is compared with an inline
 one (``os.fork`` deleted, or a host that reports one usable CPU): the same
 bytes in both files, the same stdout, and on failure the same exit code and
 stderr line, with the child's (sfd) error first when both processes fail.
@@ -16,9 +18,10 @@ import signal
 
 import pytest
 
-from driftstream import cli
+from driftstream import cli, streams
 from driftstream.cli import main
-from driftstream.streams import SynthConfig, generate_synthetic_segments
+from driftstream.config import named_seed
+from driftstream.streams import SynthConfig, generate_synthetic_segments, write_csv
 from driftstream.telemetry import TelemetryEvent
 
 from conftest import one_cpu
@@ -76,11 +79,35 @@ SPLITS = {
     "ingest-sizes": {"n_sfd": 60000, "n_hfd": 30000, "sfd_episodes": 30, "hfd_episodes": 54},
     "sfd-shorter": {"n_sfd": 500, "n_hfd": 1500, "sfd_episodes": 1, "hfd_episodes": 2},
     "one-each": {"n_sfd": 1, "n_hfd": 1, "sfd_episodes": 0, "hfd_episodes": 0},
+    "no-hfd": {"n_sfd": 700, "n_hfd": 0, "sfd_episodes": 1, "hfd_episodes": 0},
+    # the split, row 5501, falls inside a chunk of 2, 3 and 4096 rows
+    "head-in-chunk": {"n_sfd": 10000, "n_hfd": 1001, "sfd_episodes": 5, "hfd_episodes": 2},
 }
 
 
-@pytest.mark.parametrize("synth", SPLITS.values(), ids=SPLITS)
-def test_the_row_split_writes_the_bytes_of_an_inline_gen(tmp_path, monkeypatch, capsys, forks, synth):
+@pytest.fixture(scope="module")
+def written_by_write_csv(tmp_path_factory):
+    """SPLITS name -> the files ``write_csv`` writes for ``generate_synthetic_segments`` on gen's seed 11."""
+    files = {}
+
+    def of(name):
+        if name not in files:
+            out = tmp_path_factory.mktemp(name)
+            segments = generate_synthetic_segments(SynthConfig(**SPLITS[name]), named_seed(11, "generator"))
+            for segment, events in zip(("sfd", "hfd"), segments):
+                write_csv(events, str(out / f"{segment}.csv"))
+            files[name] = read_bytes_tree(out)
+        return files[name]
+
+    return of
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2, 3, streams._CHUNK_ROWS])
+@pytest.mark.parametrize("name", SPLITS)
+def test_the_row_split_writes_the_bytes_of_an_inline_gen(tmp_path, monkeypatch, capsys, forks, written_by_write_csv,
+                                                         name, chunk_rows):
+    synth = SPLITS[name]
+    monkeypatch.setattr(streams, "_CHUNK_ROWS", chunk_rows)
     tails = []
     encoded_rows = cli.encoded_rows
 
@@ -100,6 +127,7 @@ def test_the_row_split_writes_the_bytes_of_an_inline_gen(tmp_path, monkeypatch, 
     assert files["sfd.csv"].count(b"\r\n") == n_sfd + 1 and files["hfd.csv"].count(b"\r\n") == n_hfd + 1
     assert [line.split(b",")[0] for line in files["sfd.csv"].splitlines()] == [b"timestamp", *(
         str(i).encode() for i in range(n_sfd))]
+    assert {key: files[key] for key in ("sfd.csv", "hfd.csv")} == written_by_write_csv(name)
 
 
 def test_a_failed_append_exits_3_like_a_serial_write(tmp_path, monkeypatch, capsys, forks):

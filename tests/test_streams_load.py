@@ -183,11 +183,29 @@ _NO_TIMESTAMP = "\n".join(
 )
 
 
+# a column beyond the canonical ones: every chunk takes the row loop, and every event has a meta dict
+_WITH_SITE = "\n".join(
+    [",".join([*CSV_COLUMNS, "site"]), *(f"{ts},1e-9,32.0,1e-6,25.0,{ts % 2},SFD,rack-{ts}" for ts in range(6))]
+)
+
+
+def _columns_or_error(path, **kwargs):
+    try:
+        return streams.read_columns(path, **kwargs)
+    except MalformedRow as err:
+        return ("error", str(err), err.row)
+
+
 @settings(max_examples=400, deadline=None)
-@given(_csv_files(), st.sampled_from(list(Segment)))
-@example((_NO_TIMESTAMP + "\n", None), Segment.SFD)
-def test_load_csv_equals_the_per_row_loop_for_any_chunk_size(tmp_path_factory, file, default_segment):
-    """Without a timestamp column, ``read_columns`` gives the per-row loop's ``index`` defaults as a range."""
+@given(_csv_files(), st.sampled_from(list(Segment)), st.lists(st.sampled_from(CSV_COLUMNS), unique=True))
+@example((_NO_TIMESTAMP + "\n", None), Segment.SFD, ["label", "timestamp"])
+@example((_WITH_SITE + "\n", None), Segment.HFD, ["osnr_rx", "segment", "timestamp"])
+def test_load_csv_equals_the_per_row_loop_for_any_chunk_size(tmp_path_factory, file, default_segment, names):
+    """Without a timestamp column, ``read_columns`` gives the per-row loop's ``index`` defaults as a range.
+
+    ``read_columns`` with ``names`` returns the full read's columns at those
+    positions, a range staying a range, or raises the full read's error.
+    """
     text, column_map = file
     path = str(tmp_path_factory.mktemp("load") / "seg.csv")
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -203,6 +221,9 @@ def test_load_csv_equals_the_per_row_loop_for_any_chunk_size(tmp_path_factory, f
             if positional:
                 timestamps = streams.read_columns(path, **kwargs)[0]
                 assert type(timestamps) is range and list(timestamps) == [event[1] for event in expected], size
+            full = _columns_or_error(path, **kwargs)
+            picked = tuple(full[CSV_COLUMNS.index(name)] for name in names) if isinstance(expected, list) else full
+            assert _columns_or_error(path, **kwargs, names=names) == picked, size
     finally:
         streams._CHUNK_ROWS = default
 
