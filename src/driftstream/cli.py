@@ -5,16 +5,17 @@ derives all randomness from the root seed, and writes a manifest next to its
 outputs so a run can be reproduced from the manifest alone. ``run``,
 ``bench``, ``gen`` and the file-mode load split their work by one rule,
 ``_run_forked``: on a host with ``os.fork`` and two usable CPUs, every model
-(or file, or for ``gen`` the first half of the rows) but the last goes to
-one forked child, and the last stays in this process, and one pipe carries
-the child's messages, its result last. When arf is that last model, the
-child first pretrains the last half of its tree slots (rounded down) and
-hands them over on the same pipe. ``run``, ``bench`` and ``drift`` merge the
-stream as columns in ``_assemble``, and each segment arrives from
-``_load_segments`` as only the columns the command reads, dropped in the
-process that loaded it: ``drift`` takes the labels and one feature and
-builds no event, ``run`` and ``bench`` build each event once.
-``run`` and ``drift`` detect drift through ``_localize``.
+but the last goes to one forked child (for ``gen`` and the file-mode load,
+the first rows of sfd.csv, about half of both files' rows), the last stays
+in this process, and one pipe carries the child's messages, its result
+last. When arf is that last model, the child first pretrains the last half
+of its tree slots (rounded down) and hands them over on the same pipe.
+``run``, ``bench`` and ``drift`` merge the stream as columns in
+``_assemble``, and each segment arrives from ``_load_segments`` as only the
+columns the command reads, dropped in the process that loaded it: ``drift``
+takes the labels and one feature and builds no event, ``run`` and ``bench``
+build each event once. ``run`` and ``drift`` detect drift through
+``_localize``.
 """
 
 from __future__ import annotations
@@ -22,12 +23,15 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import gc
 import json
 import os
 import pickle
+import shutil
 import signal
 import sys
+import tempfile
 import traceback
 
 from . import __version__
@@ -43,8 +47,8 @@ from .evaluation import (
     write_latency_raw,
     write_latency_table,
 )
-from .streams import (array_rows, encoded_rows, oversample_sources, read_columns, synthetic_arrays, synthetic_columns,
-                      write_rows)
+from .streams import (array_rows, encode_rows, joined, line_start, oversample_sources, read_columns, read_part,
+                      synthetic_arrays, synthetic_columns, write_rows)
 from .telemetry import CSV_COLUMNS, FEATURE_NAMES, Segment, TelemetryEvent
 
 EXIT_OK = 0
@@ -118,11 +122,17 @@ def _write_manifest(cfg: ExperimentConfig, command: str) -> None:
 def _load_segments(cfg: ExperimentConfig, names: tuple) -> tuple[tuple, tuple]:
     """The two segments' columns ``names`` (of ``CSV_COLUMNS``): the generator's, or the files' through ``_run_forked``.
 
-    In file mode a forked child reads sfd.csv, the first file and the
-    larger one on the benchmark's stream, while this process reads
-    hfd.csv. Each process passes ``names`` to ``read_columns``, so a chunk
-    of its segment keeps only the named columns once it is validated, and
-    only those cross the pipe, as lists, whichever path parsed the rows.
+    In file mode the two processes share the rows. sfd.csv, the first and
+    the larger file on the benchmark's stream, is split at its first
+    ``line_start`` past half the two files' bytes: a forked child reads
+    its head, and this process reads its tail, then hfd.csv. An sfd.csv
+    that cannot be split there (it has a ``"``, for one) is split by file:
+    the child reads it whole. ``joined`` reads the tail again after the
+    head's rows where that could change a value, an error or a row number,
+    and the tail's error comes before hfd.csv's, so the columns and every
+    error are those of a serial read. Each read passes ``names`` to
+    ``read_part`` or ``read_columns``, so a chunk keeps only the named
+    columns once it is validated, and only those cross the pipe.
     """
     stream = cfg.stream
     if stream.mode == "synth":
@@ -131,12 +141,38 @@ def _load_segments(cfg: ExperimentConfig, names: tuple) -> tuple[tuple, tuple]:
         return tuple(tuple(map(columns.__getitem__, positions)) for columns in segments)
     files = {"sfd": (stream.sfd_path, Segment.SFD), "hfd": (stream.hfd_path, Segment.HFD)}
 
-    def read(name, _):
+    def read(name):
         path, segment = files[name]
         return read_columns(path, column_map=stream.column_map, default_segment=segment, names=names)
 
-    segments = _run_forked("segment", list(files), read)
-    return segments["sfd"], segments["hfd"]
+    try:
+        split = line_start(stream.sfd_path, (os.path.getsize(stream.sfd_path) + os.path.getsize(stream.hfd_path)) // 2)
+    except OSError:  # the reads report it
+        split = None
+    if split is None:
+        segments = _run_forked("segment", list(files), lambda name, _: read(name))
+        return segments["sfd"], segments["hfd"]
+    sfd = functools.partial(read_part, stream.sfd_path, column_map=stream.column_map, default_segment=Segment.SFD,
+                            names=names)
+
+    def read_parts(name, _):
+        if name == "sfd":
+            return sfd(0, split)
+        try:
+            tail = sfd(split)
+        except DriftStreamError:  # its row numbers start at 0: joined reads it again
+            tail = None
+        try:
+            return tail, read("hfd")
+        except Exception as err:  # raised below, once sfd.csv, whose error comes first, is read without one
+            return tail, err
+
+    segments = _run_forked("segment", list(files), read_parts)
+    tail, hfd = segments["hfd"]
+    columns = joined(sfd, split, segments["sfd"], tail)
+    if isinstance(hfd, Exception):
+        raise hfd
+    return columns, hfd
 
 
 @contextlib.contextmanager
@@ -513,32 +549,36 @@ def cmd_gen(cfg: ExperimentConfig, args: argparse.Namespace) -> None:
     chunk at a time, so no event and no list of a whole segment is built,
     in either process. A forked child writes the header and the first
     ⌈(n_sfd + n_hfd) / 2⌉ rows of sfd.csv (all of it, if it is shorter),
-    while this process writes hfd.csv and renders the rest of sfd.csv as
-    bytes, which it appends once the child is done. The output directory is
-    made before anything is synthesized. The bytes, stderr line and exit
-    code are those of a serial write; when both processes fail, the child's
-    (sfd.csv's) error is reported.
+    while this process writes hfd.csv and renders the rest of sfd.csv into
+    an unnamed temporary file in the output directory, which it appends
+    once the child is done. The output directory is made before anything
+    is synthesized. The bytes, stderr line and exit code are those of a
+    serial write; when both processes fail, the child's (sfd.csv's) error
+    is reported.
     """
     if cfg.stream.mode != "synth":
         raise ConfigError("stream.mode", "gen requires synth mode")
     os.makedirs(cfg.out_dir, exist_ok=True)
     paths = {name: os.path.join(cfg.out_dir, f"{name}.csv") for name in ("sfd", "hfd")}
-    with _collector_paused():
+    with _collector_paused(), contextlib.ExitStack() as files:
         sfd, hfd = synthetic_arrays(cfg.stream.synth, named_seed(cfg.seed, "generator"))
         n_sfd, n_hfd = len(sfd[0]), len(hfd[0])
         head = min(n_sfd, (n_sfd + n_hfd + 1) // 2)
 
         def write_hfd_and_render_tail():
             write_rows(array_rows(hfd, Segment.HFD, 0, n_hfd), paths["hfd"])
-            return encoded_rows(array_rows(sfd, Segment.SFD, head, n_sfd))
+            tail = files.enter_context(tempfile.TemporaryFile(dir=cfg.out_dir))
+            encode_rows(array_rows(sfd, Segment.SFD, head, n_sfd), tail)
+            return tail
 
         writes = {
             "sfd": lambda: write_rows(array_rows(sfd, Segment.SFD, 0, head), paths["sfd"]),
             "hfd": write_hfd_and_render_tail,
         }
         tail = _run_forked("segment", list(writes), lambda name, _: writes[name]())["hfd"]
+        tail.seek(0)
         with open(paths["sfd"], "ab") as fh:
-            fh.write(tail)
+            shutil.copyfileobj(tail, fh)
     if not args.quiet:
         payload = {"sfd_path": paths["sfd"], "sfd_events": n_sfd, "hfd_path": paths["hfd"], "hfd_events": n_hfd}
         print(json.dumps(payload, sort_keys=True))

@@ -303,28 +303,6 @@ def export_report(report: ExperimentReport, path: str, fmt: str = "csv") -> str:
     return path
 
 
-def load_metrics(path: str, fmt: str = "csv") -> list[dict]:
-    """Re-import an exported metric series (values parsed back to floats)."""
-    if fmt == "csv":
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = []
-            for row in csv.DictReader(fh):
-                rows.append(
-                    {
-                        "event_index": int(row["event_index"]),
-                        "arm": row["arm"],
-                        "rolling_accuracy": float(row["rolling_accuracy"]),
-                        "rolling_auc": float(row["rolling_auc"]),
-                        "auc_degenerate": int(row["auc_degenerate"]),
-                    }
-                )
-            return rows
-    if fmt == "json":
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)["series"]
-    raise ValueError(f"unknown format: {fmt}")
-
-
 # -- latency benchmark ----------------------------------------------------------
 
 

@@ -24,14 +24,17 @@ range.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 import operator
+import os
 import re
+import stat
 import sys
 from dataclasses import dataclass, field
 from itertools import compress, islice, repeat
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -184,7 +187,7 @@ class StreamConfig:
         ])
 
 
-_CHUNK_ROWS = 4096
+_CHUNK_ROWS = 1024
 _CANONICAL_KEYS = frozenset(CSV_COLUMNS)
 _REQUIRED_KEYS = frozenset(REQUIRED_FIELDS)
 
@@ -239,9 +242,115 @@ def read_columns(path: str, *, column_map: Optional[dict] = None, default_segmen
     ``names`` (of ``CSV_COLUMNS``), if given, are the columns returned, in
     that order. Every cell of every row is still parsed and validated, but
     each chunk extends only those lists, so the others never outlive it.
+    A file without a ``"`` can also be read in two parts, split at a
+    ``line_start``: see ``read_part`` and ``joined``.
     """
-    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
-        return _read_columns(csv.reader(fh), column_map, default_segment, names)
+    return read_part(path, column_map=column_map, default_segment=default_segment, names=names).columns
+
+
+class Part(NamedTuple):
+    """What ``read_part`` read: its columns, the rows counted and the last timestamp at its end, and its first one.
+
+    A next part continues from ``rows`` and ``last``. A timestamp is None
+    where there is none: no row yet, or a file without a timestamp column,
+    whose rows are numbered instead.
+    """
+
+    columns: tuple
+    rows: int
+    first: Optional[int]
+    last: Optional[int]
+
+
+def read_part(path: str, start: int = 0, stop: Optional[int] = None, *, column_map: Optional[dict] = None,
+              default_segment: Segment = Segment.SFD, names: Optional[Sequence[str]] = None,
+              after: Optional[Part] = None) -> Part:
+    """``read_columns`` of the rows in bytes ``[start, stop)`` of the file (to its end if ``stop`` is None).
+
+    ``start`` and ``stop`` are 0, the file's end or a ``line_start``, so
+    the range holds whole rows; a range that starts past 0 takes its
+    header from the file's first line. The rows are numbered, and their
+    timestamps checked, as the rows that follow the part ``after`` (None:
+    no rows). The bytes are streamed from the file, never held whole.
+    """
+    with _text(path, start, stop) as fh:
+        reader = csv.reader(fh)
+        if start:
+            with _text(path, 0, None) as first_line:
+                header = _header(csv.reader(first_line), column_map)
+        else:
+            header = _header(reader, column_map)
+        return _read_rows(reader, header, default_segment, names, *((after.rows, after.last) if after else (0, None)))
+
+
+def line_start(path: str, at: int) -> Optional[int]:
+    """The first line start after byte ``at`` of a regular file that has no ``"`` byte, if it is not the file's end.
+
+    Without a quote, ``csv.reader`` ends a row at every line end, and the
+    byte after a ``\\n`` starts a UTF-8 character and is past the
+    byte-order mark, so the rows on either side of it can be read apart.
+    The whole file is scanned for a quote, 64 KiB at a time. Else None.
+    """
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        return None
+    split, seen = None, 0
+    with open(path, "rb") as fh:
+        for block in iter(functools.partial(fh.read, 1 << 16), b""):
+            if b'"' in block:
+                return None
+            if split is None and (i := block.find(b"\n", max(at - seen, 0))) >= 0:
+                split = seen + i + 1
+            seen += len(block)
+    return split if split is not None and split < seen else None
+
+
+def joined(read: Callable[..., Part], start: int, head: Part, tail: Optional[Part]) -> tuple:
+    """``read_columns`` of a whole file from its two parts: ``head = read(0, start)`` and ``tail = read(start)``.
+
+    ``read`` is ``read_part`` with the file and its keywords bound. The
+    tail was read on its own, from row 0 with no timestamp before it, and
+    is None if that raised. It is read again as ``read(start, after=head)``
+    unless it already holds what that read gives: when the head or the tail
+    has no rows, the file has no timestamp column, or the tail's first
+    timestamp exceeds the head's last and 0. (A blank timestamp cell takes
+    its row's index, which the tail counts from 0; a timestamp less its
+    index never decreases, so after a first timestamp above 0 none did.)
+    So every value, error and row number is that of one read of the file.
+    The head's lists are extended in place.
+    """
+    if tail is None or not (head.last is None or tail.first is None or tail.first > max(head.last, 0)):
+        tail = read(start, after=head)
+    return tuple(
+        range(len(a) + len(b)) if isinstance(a, range) else operator.iadd(a, b)
+        for a, b in zip(head.columns, tail.columns)
+    )
+
+
+class _Span(io.RawIOBase):
+    """Bytes ``[start, stop)`` of a file as a raw stream; to its end if ``stop`` is None."""
+
+    def __init__(self, path: str, start: int, stop: Optional[int]):
+        self._fh = open(path, "rb", buffering=0)
+        self._fh.seek(start)
+        self._left = sys.maxsize if stop is None else stop - start
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = self._fh.readinto(memoryview(buffer)[: self._left])
+        self._left -= n
+        return n
+
+    def close(self) -> None:
+        self._fh.close()
+        super().close()
+
+
+def _text(path: str, start: int, stop: Optional[int]) -> io.TextIOWrapper:
+    """Bytes ``[start, stop)`` of a file as text: UTF-8, bytes that are not as escapes, a BOM at 0 dropped."""
+    encoding = "utf-8" if start else "utf-8-sig"
+    return io.TextIOWrapper(_Span(path, start, stop), encoding=encoding, errors="surrogateescape", newline="")
 
 
 # the code points that errors="surrogateescape" gives undecodable bytes
@@ -254,15 +363,23 @@ def _unreadable(row_number: int, err: csv.Error) -> MalformedRow:
     return MalformedRow(row_number, DriftStreamError(f"unreadable CSV: {err}"))
 
 
-def _read_columns(reader, column_map: Optional[dict], default_segment: Segment, fields: Optional[Sequence]) -> tuple:
-    """The columns ``fields`` (all, if None) of the header row and data rows that ``reader`` yields."""
+def _header(reader, column_map: Optional[dict]) -> list:
+    """The mapped column names of the header row, the first that ``reader`` yields."""
     try:
         header = next(reader, [])  # an empty file reads as a header of no columns
     except csv.Error as err:
         raise _unreadable(0, err) from None
     if _UNDECODED.search("".join(header)):
         raise MalformedRow(0, DriftStreamError("bytes that are not UTF-8"))
-    names = [column_map.get(key, key) for key in header] if column_map else header
+    return [column_map.get(key, key) for key in header] if column_map else header
+
+
+def _read_rows(reader, names: list, default_segment: Segment, fields: Optional[Sequence], row_number: int,
+               prev_ts: Optional[int]) -> Part:
+    """The columns ``fields`` (all, if None) of the data rows ``reader`` yields, after ``row_number`` rows.
+
+    ``prev_ts`` is the timestamp of the row before them, if any.
+    """
     positions = {name: i for i, name in enumerate(names)}
     n_fields = len(CSV_COLUMNS) if _CANONICAL_KEYS.issuperset(names) else len(TelemetryEvent.__slots__)
     picks = range(n_fields) if fields is None else tuple(map(CSV_COLUMNS.index, fields))
@@ -270,8 +387,7 @@ def _read_columns(reader, column_map: Optional[dict], default_segment: Segment, 
     if len(positions) < len(names) or not _REQUIRED_KEYS <= positions.keys() <= _CANONICAL_KEYS:
         positions = None
     positional = "timestamp" not in names  # positional timestamps are one range, built at the end
-    prev_ts = None
-    row_number = 0
+    start, first = row_number, None
     while True:
         chunk: list[list[str]] = []
         error = None
@@ -286,12 +402,15 @@ def _read_columns(reader, column_map: Optional[dict], default_segment: Segment, 
             for column, i in zip(columns, picks):
                 if i or not positional:
                     column.extend(parsed[i])
-            prev_ts = parsed[0][-1]
+            if not positional:
+                first = parsed[0][0] if first is None else first
+                prev_ts = parsed[0][-1]
             row_number += len(rows)
         if error is not None:
             raise _unreadable(row_number + 1, error)
         if not chunk:
-            return tuple(range(row_number) if positional and not i else column for column, i in zip(columns, picks))
+            kept = (range(start, row_number) if positional and not i else c for c, i in zip(columns, picks))
+            return Part(tuple(kept), row_number, first, prev_ts)
 
 
 def _chunk_columns(
@@ -387,13 +506,11 @@ def write_rows(rows: Iterable[Sequence[str]], path: str) -> None:
         _write_lines(fh, rows)
 
 
-def encoded_rows(rows: Iterable[Sequence[str]]) -> bytes:
-    """The bytes ``write_rows`` writes after the header for ``rows``, rendered in memory to append to a file later."""
-    buffer = io.BytesIO()
-    text = io.TextIOWrapper(buffer, encoding="utf-8", newline="")
+def encode_rows(rows: Iterable[Sequence[str]], sink: BinaryIO) -> None:
+    """Write to the binary file ``sink`` the bytes that ``write_rows`` writes after the header for ``rows``."""
+    text = io.TextIOWrapper(sink, encoding="utf-8", newline="")
     _write_lines(text, rows)
-    text.detach()  # flushes into the buffer and leaves it open
-    return buffer.getvalue()
+    text.detach()  # flushes into sink and leaves it open
 
 
 def _write_lines(fh, rows: Iterable[Sequence[str]]) -> None:

@@ -131,7 +131,10 @@ def _parse_integral(name: str, text) -> int:
         return int(str(text))  # exact, even past float precision
     except ValueError:
         pass
-    value = _parse_float(name, text)
+    try:
+        value = _parse_float(name, text)
+    except OutOfRange:  # not finite: quote the cell, which may be digits past int()'s limit, not its float
+        raise OutOfRange(name, text) from None
     if not value.is_integer():
         raise OutOfRange(name, value)
     return int(value)

@@ -589,6 +589,18 @@ def test_unreadable_csv_bytes_exit_4_naming_the_row(tmp_path, capsys, hfd, messa
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="int() reads any number of digits")
+@pytest.mark.parametrize("name", ["timestamp", "label"])
+def test_an_integral_cell_past_the_int_digit_limit_exits_4_quoting_the_cell(tmp_path, capsys, name):
+    """int() refuses the 5,000 digits, and float() reads them as inf, which the line used to quote."""
+    cells = event_rows([3])[0].split(b",")
+    cells[0 if name == "timestamp" else 5] = b"9" * 5000
+    cfg = file_mode_config(tmp_path, VALID_CSV, b"\n".join([HEADER, *event_rows(range(3)), b",".join(cells)]))
+    assert main(["drift", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 4
+    quoted = "'" + "9" * 99 + "…"  # shortened's first 100 characters of the cell's repr
+    assert capsys.readouterr().err == f"error: malformed row 4: value out of range for {name}: {quoted}\n"
+
+
 def test_a_config_file_that_is_not_utf8_exits_2(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_bytes(b'{"seed": 5, "out_dir": "\xff"}')

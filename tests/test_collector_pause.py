@@ -120,7 +120,7 @@ def test_only_stream_building_and_writing_run_paused(tmp_path, monkeypatch):
 
 # -- the premise: no reference cycles per event ------------------------------------
 
-N = 1500  # 4N events fill more than one of load_csv's 4096-row chunks
+N = 1500  # 4N events fill more than one of load_csv's 1024-row chunks
 
 
 def unreachable_after(step):

@@ -18,7 +18,6 @@ from driftstream.evaluation import (
     _pretrain,
     export_report,
     latency_benchmark,
-    load_metrics,
     prequential_run,
     rolling_auc,
     rolling_auc_flagged,
@@ -423,6 +422,24 @@ def test_a_failing_pretrain_in_either_share_raises_this_processs_first(fails, ex
 
 
 # -- export ----------------------------------------------------------------------
+
+
+def load_metrics(path: str, fmt: str = "csv") -> list[dict]:
+    """Re-import an exported metric series (values parsed back to floats)."""
+    if fmt == "json":
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)["series"]
+    with open(path, newline="", encoding="utf-8") as fh:
+        return [
+            {
+                "event_index": int(row["event_index"]),
+                "arm": row["arm"],
+                "rolling_accuracy": float(row["rolling_accuracy"]),
+                "rolling_auc": float(row["rolling_auc"]),
+                "auc_degenerate": int(row["auc_degenerate"]),
+            }
+            for row in csv.DictReader(fh)
+        ]
 
 
 def small_report():

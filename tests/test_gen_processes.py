@@ -1,8 +1,8 @@
 """`driftstream gen` under the shared fork rule, its rows split evenly between two processes.
 
 A forked child writes sfd.csv's header and first ⌈(n_sfd + n_hfd) / 2⌉
-rows; the parent writes hfd.csv, renders the rest of sfd.csv as bytes and
-appends them once the child is done. Both render their rows from the
+rows; the parent writes hfd.csv, renders the rest of sfd.csv into an
+unnamed temporary file and appends it once the child is done. Both render their rows from the
 generator's arrays, ``streams._CHUNK_ROWS`` rows at a time, and the files
 are those ``write_csv`` writes for the generator's events. Each run is compared with an inline
 one (``os.fork`` deleted, or a host that reports one usable CPU): the same
@@ -80,7 +80,7 @@ SPLITS = {
     "sfd-shorter": {"n_sfd": 500, "n_hfd": 1500, "sfd_episodes": 1, "hfd_episodes": 2},
     "one-each": {"n_sfd": 1, "n_hfd": 1, "sfd_episodes": 0, "hfd_episodes": 0},
     "no-hfd": {"n_sfd": 700, "n_hfd": 0, "sfd_episodes": 1, "hfd_episodes": 0},
-    # the split, row 5501, falls inside a chunk of 2, 3 and 4096 rows
+    # the split, row 5501, falls inside a chunk of 2, 3 and 1024 rows
     "head-in-chunk": {"n_sfd": 10000, "n_hfd": 1001, "sfd_episodes": 5, "hfd_episodes": 2},
 }
 
@@ -109,14 +109,15 @@ def test_the_row_split_writes_the_bytes_of_an_inline_gen(tmp_path, monkeypatch, 
     synth = SPLITS[name]
     monkeypatch.setattr(streams, "_CHUNK_ROWS", chunk_rows)
     tails = []
-    encoded_rows = cli.encoded_rows
+    encode_rows = cli.encode_rows
 
-    def counted(rows):
-        tail = encoded_rows(rows)
-        tails.append(tail.count(b"\r\n"))
-        return tail
+    def counted(rows, sink):
+        start = sink.tell()
+        encode_rows(rows, sink)
+        sink.seek(start)
+        tails.append(sink.read().count(b"\r\n"))
 
-    monkeypatch.setattr(cli, "encoded_rows", counted)
+    monkeypatch.setattr(cli, "encode_rows", counted)
     config = {"stream": {"mode": "synth", "synth": synth}}
     forked, inline = gen_both_ways(tmp_path, monkeypatch, capsys, forks, tmp_path / "g", config=config)
     assert forked == inline

@@ -4,8 +4,9 @@
 its traced peak grows by about the arrays' bytes per row, not by a Python
 object per cell. ``read_columns`` with ``names`` keeps only those columns,
 so what it holds grows by their bytes per row, whatever else the file has.
-Each bound is a slope between two sizes, so the chunk-sized buffers and the
-interpreter's own allocations cancel out.
+Those bounds are slopes between two sizes, so the chunk-sized buffers and
+the interpreter's own allocations cancel out. The chunk-sized buffers are
+bounded on their own, as the traced peak less what the read keeps.
 """
 
 import gc
@@ -67,3 +68,24 @@ def test_read_columns_of_two_names_holds_only_their_bytes_a_row(tmp_path, monkey
     assert per_row(names=("label", "osnr_rx")) < 80 < per_row()
     label, osnr_rx = streams.read_columns(paths[2000], names=("label", "osnr_rx"))
     assert len(label) == len(osnr_rx) == 2000
+
+
+def test_the_parents_file_mode_read_holds_one_chunk_of_transients(tmp_path):
+    """The tail of sfd.csv, then hfd.csv: about 1.1 KB a chunk row, 1.2 MB at 1,024 rows and 4.5 MB at 4,096."""
+    paths = [str(tmp_path / f"{name}.csv") for name in ("sfd", "hfd")]
+    for events, path in zip(generate_synthetic_segments(SynthConfig(12000, 6000, sfd_episodes=4, hfd_episodes=6), 3),
+                            paths):
+        write_csv(events, path)
+    split = streams.line_start(paths[0], (os.path.getsize(paths[0]) + os.path.getsize(paths[1])) // 2)
+    names = ("label", "osnr_rx")
+    kept = []
+
+    def read():
+        kept.append(streams.read_part(paths[0], split, names=names))
+        kept.append(streams.read_columns(paths[1], names=names))
+        kept.append(tracemalloc.get_traced_memory()[0])
+
+    peak = traced_peak(read)
+    tail, hfd, held = kept
+    assert tail.rows > 2000 and len(hfd[0]) == 6000
+    assert peak - held < 1_500_000

@@ -1,13 +1,17 @@
-"""File-mode loads under the shared fork rule: sfd.csv is read in one forked child, hfd.csv in the parent.
+"""File-mode loads under the shared fork rule: sfd.csv's head is read in one forked child, the rest in the parent.
 
+sfd.csv splits at its first line start past half the two files' bytes:
+the child reads the rows before it, and the parent the rows after it, then
+hfd.csv. An sfd.csv with a ``"`` splits by file: the child reads it whole.
 The child sends only the columns its command reads, as lists, whichever
 path parsed its rows, and the parent builds any events. Each forked load is
 compared with an inline one (``os.fork`` deleted, or a host that reports
 one usable CPU): the same output bytes, the same events field by field,
 and on failure the same exit code and stderr line, with the sfd error
-first when both files fail. Forked runs take the ``forks`` fixture, which
-reports two usable CPUs whatever the host has. After every call, no child
-process is left to reap.
+first when both files fail, and that error is the one a read of the whole
+file raises. Forked runs take the ``forks`` fixture, which reports two
+usable CPUs whatever the host has. After every call, no child process is
+left to reap.
 """
 
 import copy
@@ -20,6 +24,7 @@ import pytest
 from driftstream import cli, streams
 from driftstream.cli import main
 from driftstream.config import load_config
+from driftstream.errors import MalformedRow
 from driftstream.streams import SynthConfig, generate_synthetic_segments, write_csv
 from driftstream.telemetry import CSV_COLUMNS, Label, Segment, TelemetryEvent
 
@@ -56,6 +61,27 @@ def set_cell(lines, row, column, value):
     lines[row] = ",".join(cells)
 
 
+def quote_header(name, lines):
+    """A quoted header cell, which reads as before but keeps sfd.csv from splitting by rows."""
+    lines[0] = lines[0].replace("timestamp", '"timestamp"')
+
+
+def split_of(cfg):
+    """The offset at which file mode splits sfd.csv, and the index in its lines of the first row after it."""
+    sfd, hfd = cfg.stream.sfd_path, cfg.stream.hfd_path
+    split = streams.line_start(sfd, (os.path.getsize(sfd) + os.path.getsize(hfd)) // 2)
+    with open(sfd, "rb") as fh:
+        return split, fh.read(split).count(b"\n")
+
+
+def whole_file_error(cfg, name):
+    """The stderr line of a read of the whole file ``name``."""
+    path = getattr(cfg.stream, f"{name}_path")
+    with pytest.raises(MalformedRow) as exc:
+        streams.read_columns(path, column_map=cfg.stream.column_map)
+    return f"error: {exc.value}\n"
+
+
 def add_site_column(name, lines):
     """Every row carries a non-canonical column, so every chunk of the file goes to the row loop."""
     lines[:] = [lines[0] + ",site", *(f"{line},rack-{i % 3}" for i, line in enumerate(lines[1:]))]
@@ -85,17 +111,19 @@ def test_a_forked_load_writes_the_bytes_of_an_inline_one(tmp_path, monkeypatch, 
     assert forked == inline and "drift_events.csv" in forked
 
 
-BAD_ROW = {"sfd": 5, "hfd": 3}  # a data row of each file whose label is set to 2
+# data rows whose label is set to 2: sfd.csv's row 1400 is in the parent's part, past the split
+BAD_ROWS = [{"sfd": 5}, {"hfd": 3}, {"sfd": 5, "hfd": 3}, {"sfd": 1400}, {"sfd": 1400, "hfd": 3}]
 
 
 @pytest.mark.parametrize("inline", INLINE.values(), ids=INLINE)
-@pytest.mark.parametrize("bad", [("sfd",), ("hfd",), ("sfd", "hfd")])
+@pytest.mark.parametrize("bad", BAD_ROWS, ids=lambda bad: "-".join(f"{name}{row}" for name, row in bad.items()))
 def test_a_bad_row_exits_like_an_inline_load(tmp_path, monkeypatch, capsys, forks, inline, bad):
     def edit(name, lines):
         if name in bad:
-            set_cell(lines, BAD_ROW[name], 5, "2")
+            set_cell(lines, bad[name], 5, "2")
 
     cfg = write_segments(tmp_path, edit)
+    assert 5 < split_of(load_config(cfg))[1] < 1400
     results = []
     for out in ("forked", "inline"):
         if out == "inline":
@@ -106,7 +134,60 @@ def test_a_bad_row_exits_like_an_inline_load(tmp_path, monkeypatch, capsys, fork
     (code, forked), (inline_code, inlined) = results
     assert (code, forked.out, forked.err) == (inline_code, inlined.out, inlined.err)
     assert code == 4 and forked.out == ""
-    assert forked.err == f"error: malformed row {BAD_ROW[bad[0]]}: value out of range for label: 2\n"
+    first, row = next(iter(bad.items()))
+    assert forked.err == f"error: malformed row {row}: value out of range for label: 2\n"
+    assert forked.err == whole_file_error(load_config(cfg), first)
+
+
+def repeat_timestamp(lines, row):
+    set_cell(lines, row, 0, lines[row - 1].split(",")[0])
+
+
+def blank_timestamp(lines, row):
+    set_cell(lines, row, 0, "")
+
+
+# edits of sfd.csv at the first row after the split, each leaving its offset where it was
+SEAMS = {
+    # the tail's first timestamp repeats the head's last: read alone the tail passes, after the head it fails
+    "repeated-timestamp": (repeat_timestamp, None),
+    # a blank cell takes its row's index: 0 in the tail read alone, the row's place in the file after the head
+    "blank-timestamp": (blank_timestamp, None),
+    # the tail fails, and so does hfd.csv: sfd.csv's error comes first
+    "tail-and-hfd": (lambda lines, row: set_cell(lines, row + 50, 5, "2"), 3),
+}
+
+
+@pytest.mark.parametrize("inline", INLINE.values(), ids=INLINE)
+@pytest.mark.parametrize("seam", SEAMS)
+def test_the_rows_after_the_split_read_as_in_a_whole_file(tmp_path, monkeypatch, capsys, forks, inline, seam):
+    split, row = split_of(load_config(write_segments(tmp_path)))
+    edit_sfd, bad_hfd = SEAMS[seam]
+
+    def edit(name, lines):
+        if name == "sfd":
+            edit_sfd(lines, row)
+        elif bad_hfd is not None:
+            set_cell(lines, bad_hfd, 5, "2")
+
+    cfg = load_config(write_segments(tmp_path, edit))
+    assert split_of(cfg) == (split, row)
+    results = []
+    for out in ("forked", "inline"):
+        if out == "inline":
+            inline(monkeypatch)
+        argv = ["drift", "--config", str(tmp_path / "cfg_file.json"), "--out", str(tmp_path / out), "--quiet"]
+        results.append((main(argv), capsys.readouterr().err))
+        assert_no_children()
+    assert len(forks) == 1
+    assert results[0] == results[1]
+    if seam == "blank-timestamp":
+        assert results[0] == (0, "")
+        sfd = cli._load_segments(cfg, CSV_COLUMNS)[0]
+        assert sfd == streams.read_columns(cfg.stream.sfd_path, column_map=cfg.stream.column_map)
+        assert sfd[0][row - 1] == row - 1  # the row's index in the file
+    else:
+        assert results[0] == (4, whole_file_error(cfg, "sfd"))
 
 
 def chunk_paths(monkeypatch, path, column_map):
@@ -162,16 +243,20 @@ def test_a_file_whose_chunks_mix_both_paths_loads_the_columns_of_an_inline_load(
     assert {id(e.segment) for e in sfd} == {id(Segment.SFD)} and {id(e.segment) for e in hfd} == {id(Segment.HFD)}
 
 
-def test_a_killed_child_exits_4_naming_the_segment(tmp_path, monkeypatch, capsys, forks):
-    read_columns = cli.read_columns
+@pytest.mark.parametrize(
+    "edit, read", [(None, "read_part"), (quote_header, "read_columns")], ids=["by-rows", "by-file"]
+)
+def test_a_killed_child_exits_4_naming_the_segment(tmp_path, monkeypatch, capsys, forks, edit, read):
+    """The child reads sfd.csv's head through ``read_part``, or all of a file with a quote through ``read_columns``."""
+    reader = getattr(cli, read)
 
-    def killed_sfd(path, **kwargs):
-        if path.endswith("sfd.csv"):
+    def killed_sfd(path, *args, **kwargs):
+        if path.endswith("sfd.csv") and args[:1] in ((), (0,)):
             os.kill(os.getpid(), signal.SIGKILL)
-        return read_columns(path, **kwargs)
+        return reader(path, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "read_columns", killed_sfd)
-    assert main(["drift", "--config", write_segments(tmp_path), "--out", str(tmp_path / "o")]) == 4
+    monkeypatch.setattr(cli, read, killed_sfd)
+    assert main(["drift", "--config", write_segments(tmp_path, edit), "--out", str(tmp_path / "o")]) == 4
     assert_no_children()
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -185,10 +270,14 @@ def test_a_killed_child_exits_4_naming_the_segment(tmp_path, monkeypatch, capsys
     ids=["drift", "run"],
 )
 def test_the_child_sends_the_named_columns_and_no_event(tmp_path, monkeypatch, forks, edit, command, names):
+    """The child sends sfd.csv's head: ``read_part``'s named columns up to the split, with its row count and timestamps."""
     cfg_path = write_segments(tmp_path, edit)
     cfg = load_config(cfg_path)
-    expected = streams.read_columns(cfg.stream.sfd_path, column_map=cfg.stream.column_map)
-    assert len(expected) == (7 if edit is None else 8)
+    whole = streams.read_columns(cfg.stream.sfd_path, column_map=cfg.stream.column_map)
+    assert len(whole) == (7 if edit is None else 8)
+    split, row = split_of(cfg)
+    head = streams.read_part(cfg.stream.sfd_path, 0, split, column_map=cfg.stream.column_map)
+    assert head.rows == row - 1 and 0 < head.rows < len(whole[0])
     received = []
     load = pickle.load
 
@@ -208,8 +297,10 @@ def test_the_child_sends_the_named_columns_and_no_event(tmp_path, monkeypatch, f
     assert len(forks) == 1
     [(status, segments)] = received
     assert status == "ok" and list(segments) == ["sfd"]
-    assert segments["sfd"] == tuple(expected[CSV_COLUMNS.index(name)] for name in names)
-    assert all(type(column) is list for column in segments["sfd"])
+    sent = segments["sfd"]
+    assert type(sent) is streams.Part and sent[1:] == head[1:]
+    assert sent.columns == tuple(head.columns[CSV_COLUMNS.index(name)] for name in names)
+    assert all(type(column) is list for column in sent.columns)
     assert (out / "drift_events.csv").read_bytes().count(b"\n") > 2
 
 

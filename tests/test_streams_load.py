@@ -9,6 +9,7 @@ raise the same error for the same row, for any chunk size.
 """
 
 import csv
+import functools
 import pickle
 import re
 from typing import Optional
@@ -415,5 +416,61 @@ def test_load_csv_equals_the_two_pass_read_for_any_byte_edit(tmp_path_factory, f
         for size in _CHUNK_SIZES:
             streams._CHUNK_ROWS = size
             assert _outcome(load_csv, str(path), **kwargs) == expected, size
+    finally:
+        streams._CHUNK_ROWS = default
+
+
+def _split_outcome(path, split, **kwargs):
+    """The columns of ``path`` read in two parts at ``split`` as file mode reads them, or the error's details.
+
+    The tail is read on its own first, and None if that raised; ``joined``
+    then reads it again after the head's rows where that could differ.
+    """
+    read = functools.partial(streams.read_part, path, **kwargs)
+    try:
+        head = read(0, split)
+        try:
+            tail = read(split)
+        except DriftStreamError:
+            tail = None
+        return streams.joined(read, split, head, tail)
+    except MalformedRow as err:
+        return ("error", str(err), err.row)
+
+
+_LINE_ENDS = {"\n": b"\n", "\r\n": b"\r\n", "\r": b"\r"}
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(_edited_segment(), st.tuples(_csv_files(), st.sampled_from(sorted(_LINE_ENDS))).map(
+        lambda drawn: (drawn[0][0].encode().replace(b"\n", _LINE_ENDS[drawn[1]]), drawn[0][1]))),
+    st.sampled_from(list(Segment)),
+    st.integers(0, 100),
+    st.sampled_from(_CHUNK_SIZES),
+    st.sampled_from([None, ("label", "osnr_rx"), CSV_COLUMNS[1:], ("timestamp", "label")]),
+)
+@example((b"\xef\xbb\xbf" + _segment_bytes(list(CSV_COLUMNS)), None), Segment.SFD, 50, 2, None)
+@example(  # a byte-order mark that starts the tail is a cell's first character, as in one read of the file
+    ("\n".join([_HEADER, _row(0), _row(1), "\ufeff" + _row(2), _row(3)]).encode(), None), Segment.SFD, 55, 3, None)
+@example(  # the tail's timestamps pass after -5, and its blank cell takes row 3's index, 2, not 0
+    ("\n".join([_HEADER, _row(-5), _row(-4), _row(""), _row(4)]).encode(), None), Segment.SFD, 50, 1, None)
+def test_a_file_read_in_two_parts_equals_one_read_of_it(tmp_path_factory, file, default_segment, percent, size, names):
+    """For any split offset and any byte edit of a file, the two parts' columns are the whole file's, or its error."""
+    data, column_map = file
+    path = str(tmp_path_factory.mktemp("parts") / "seg.csv")
+    with open(path, "wb") as fh:
+        fh.write(data)
+    at = len(data) * percent // 100
+    newline = data.find(b"\n", at)
+    split = streams.line_start(path, at)
+    assert split == (None if b'"' in data or newline < 0 or newline + 1 == len(data) else newline + 1)
+    if split is None:
+        return
+    kwargs = {"column_map": column_map, "default_segment": default_segment, "names": names}
+    default = streams._CHUNK_ROWS
+    try:
+        streams._CHUNK_ROWS = size
+        assert _split_outcome(path, split, **kwargs) == _columns_or_error(path, **kwargs)
     finally:
         streams._CHUNK_ROWS = default
