@@ -47,8 +47,8 @@ from .evaluation import (
     write_latency_raw,
     write_latency_table,
 )
-from .streams import (array_rows, encode_rows, joined, line_start, oversample_sources, read_columns, read_part,
-                      synthetic_arrays, synthetic_columns, write_rows)
+from .streams import (array_rows, encode_rows, joined, line_start, oversample_sources, read_part, synthetic_arrays,
+                      synthetic_columns, write_rows)
 from .telemetry import CSV_COLUMNS, FEATURE_NAMES, Segment, TelemetryEvent
 
 EXIT_OK = 0
@@ -126,50 +126,42 @@ def _load_segments(cfg: ExperimentConfig, names: tuple) -> tuple[tuple, tuple]:
     the larger file on the benchmark's stream, is split at its first
     ``line_start`` past half the two files' bytes: a forked child reads
     its head, and this process reads its tail, then hfd.csv. An sfd.csv
-    that cannot be split there (it has a ``"``, for one) is split by file:
-    the child reads it whole. ``joined`` reads the tail again after the
-    head's rows where that could change a value, an error or a row number,
-    and the tail's error comes before hfd.csv's, so the columns and every
-    error are those of a serial read. Each read passes ``names`` to
-    ``read_part`` or ``read_columns``, so a chunk keeps only the named
-    columns once it is validated, and only those cross the pipe.
+    with no split point (it has a ``"`` or only CR line ends, or it is not
+    a regular file) is read whole by the child, so pipes and FIFOs work.
+    ``joined`` reads the tail again after the head's rows where that could
+    change a value, an error or a row number, and sfd.csv's error comes
+    before hfd.csv's, so the columns and every error are those of a serial
+    read. Each read passes ``names`` to ``read_part``, so a chunk keeps
+    only the named columns once it is validated, and only those cross the
+    pipe.
     """
     stream = cfg.stream
     if stream.mode == "synth":
         positions = list(map(CSV_COLUMNS.index, names))
         segments = synthetic_columns(stream.synth, named_seed(cfg.seed, "generator"))
         return tuple(tuple(map(columns.__getitem__, positions)) for columns in segments)
-    files = {"sfd": (stream.sfd_path, Segment.SFD), "hfd": (stream.hfd_path, Segment.HFD)}
-
-    def read(name):
-        path, segment = files[name]
-        return read_columns(path, column_map=stream.column_map, default_segment=segment, names=names)
-
+    read = functools.partial(read_part, column_map=stream.column_map, names=names)
+    sfd = functools.partial(read, stream.sfd_path, default_segment=Segment.SFD)
     try:
         split = line_start(stream.sfd_path, (os.path.getsize(stream.sfd_path) + os.path.getsize(stream.hfd_path)) // 2)
     except OSError:  # the reads report it
         split = None
-    if split is None:
-        segments = _run_forked("segment", list(files), lambda name, _: read(name))
-        return segments["sfd"], segments["hfd"]
-    sfd = functools.partial(read_part, stream.sfd_path, column_map=stream.column_map, default_segment=Segment.SFD,
-                            names=names)
 
     def read_parts(name, _):
         if name == "sfd":
             return sfd(0, split)
+        tail = None
+        if split is not None:
+            with contextlib.suppress(DriftStreamError):  # its row numbers start at 0: joined reads it again
+                tail = sfd(split)
         try:
-            tail = sfd(split)
-        except DriftStreamError:  # its row numbers start at 0: joined reads it again
-            tail = None
-        try:
-            return tail, read("hfd")
+            return tail, read(stream.hfd_path, default_segment=Segment.HFD).columns
         except Exception as err:  # raised below, once sfd.csv, whose error comes first, is read without one
             return tail, err
 
-    segments = _run_forked("segment", list(files), read_parts)
+    segments = _run_forked("segment", ["sfd", "hfd"], read_parts)
     tail, hfd = segments["hfd"]
-    columns = joined(sfd, split, segments["sfd"], tail)
+    columns = segments["sfd"].columns if split is None else joined(sfd, split, segments["sfd"], tail)
     if isinstance(hfd, Exception):
         raise hfd
     return columns, hfd

@@ -198,7 +198,7 @@ def load_csv(
     column_map: Optional[dict] = None,
     default_segment: Segment = Segment.SFD,
 ) -> list[TelemetryEvent]:
-    """Load one segment from a CSV file, preserving row order: the events of ``read_columns``.
+    """Load one segment from a CSV file, preserving row order: the events of ``read_part``'s columns.
 
     ``column_map`` renames source headers to the canonical column names
     (for example ``{"OSNR_SPO2": "osnr_rx"}``). Rows are validated through
@@ -224,28 +224,7 @@ def load_csv(
     step is validated again row by row through ``validate``, which alone
     defines a valid row and names the error.
     """
-    return list(map(TelemetryEvent, *read_columns(path, column_map=column_map, default_segment=default_segment)))
-
-
-def read_columns(path: str, *, column_map: Optional[dict] = None, default_segment: Segment = Segment.SFD,
-                 names: Optional[Sequence[str]] = None) -> tuple:
-    """``load_csv``'s segment before its events are built: one list per ``TelemetryEvent`` field, in field order.
-
-    ``meta`` is an eighth column only when the mapped header names a
-    column that is not canonical (then every chunk takes the row loop, and
-    every event has a ``meta`` dict); otherwise every event's is None and
-    there are seven. Without a timestamp column the timestamps are
-    ``range(n)``, the row loop's ``index`` defaults. A column path chunk
-    and a row loop chunk land in the same lists, so the whole segment
-    pickles as a few lists across a fork, whichever path read it.
-
-    ``names`` (of ``CSV_COLUMNS``), if given, are the columns returned, in
-    that order. Every cell of every row is still parsed and validated, but
-    each chunk extends only those lists, so the others never outlive it.
-    A file without a ``"`` can also be read in two parts, split at a
-    ``line_start``: see ``read_part`` and ``joined``.
-    """
-    return read_part(path, column_map=column_map, default_segment=default_segment, names=names).columns
+    return list(map(TelemetryEvent, *read_part(path, column_map=column_map, default_segment=default_segment).columns))
 
 
 class Part(NamedTuple):
@@ -265,11 +244,24 @@ class Part(NamedTuple):
 def read_part(path: str, start: int = 0, stop: Optional[int] = None, *, column_map: Optional[dict] = None,
               default_segment: Segment = Segment.SFD, names: Optional[Sequence[str]] = None,
               after: Optional[Part] = None) -> Part:
-    """``read_columns`` of the rows in bytes ``[start, stop)`` of the file (to its end if ``stop`` is None).
+    """``load_csv``'s segment of the rows in bytes ``[start, stop)`` of the file (to its end if ``stop`` is None).
+
+    Its ``columns`` are those of the events before they are built: one
+    list per ``TelemetryEvent`` field, in field order. ``meta`` is an
+    eighth column only when the mapped header names a column that is not
+    canonical (then every chunk takes the row loop, and every event has a
+    ``meta`` dict); otherwise every event's is None and there are seven.
+    Without a timestamp column the timestamps are a ``range``, the row
+    loop's ``index`` defaults. A column path chunk and a row loop chunk
+    land in the same lists, so a part pickles as a few lists across a fork,
+    whichever path read it. ``names`` (of ``CSV_COLUMNS``), if given, are
+    the columns returned, in that order: every cell of every row is still
+    parsed and validated, but each chunk extends only those lists.
 
     ``start`` and ``stop`` are 0, the file's end or a ``line_start``, so
     the range holds whole rows; a range that starts past 0 takes its
-    header from the file's first line. The rows are numbered, and their
+    header from the file's first line. A range from 0 is read without a
+    seek, so a pipe or a FIFO reads whole. The rows are numbered, and their
     timestamps checked, as the rows that follow the part ``after`` (None:
     no rows). The bytes are streamed from the file, never held whole.
     """
@@ -305,7 +297,7 @@ def line_start(path: str, at: int) -> Optional[int]:
 
 
 def joined(read: Callable[..., Part], start: int, head: Part, tail: Optional[Part]) -> tuple:
-    """``read_columns`` of a whole file from its two parts: ``head = read(0, start)`` and ``tail = read(start)``.
+    """``read_part``'s columns of a whole file, from its parts ``head = read(0, start)`` and ``tail = read(start)``.
 
     ``read`` is ``read_part`` with the file and its keywords bound. The
     tail was read on its own, from row 0 with no timestamp before it, and
@@ -331,7 +323,8 @@ class _Span(io.RawIOBase):
 
     def __init__(self, path: str, start: int, stop: Optional[int]):
         self._fh = open(path, "rb", buffering=0)
-        self._fh.seek(start)
+        if start:  # a pipe cannot seek, and is only read from 0
+            self._fh.seek(start)
         self._left = sys.maxsize if stop is None else stop - start
 
     def readable(self) -> bool:

@@ -2,7 +2,7 @@
 
 ``gen`` renders its rows from the generator's arrays a chunk at a time, so
 its traced peak grows by about the arrays' bytes per row, not by a Python
-object per cell. ``read_columns`` with ``names`` keeps only those columns,
+object per cell. ``read_part`` with ``names`` keeps only those columns,
 so what it holds grows by their bytes per row, whatever else the file has.
 Those bounds are slopes between two sizes, so the chunk-sized buffers and
 the interpreter's own allocations cancel out. The chunk-sized buffers are
@@ -62,11 +62,11 @@ def test_read_columns_of_two_names_holds_only_their_bytes_a_row(tmp_path, monkey
         del sfd
 
     def per_row(**kwargs) -> float:
-        small, large = (traced_peak(lambda: streams.read_columns(paths[n], **kwargs)) for n in (2000, 10000))
+        small, large = (traced_peak(lambda: streams.read_part(paths[n], **kwargs).columns) for n in (2000, 10000))
         return (large - small) / 8000
 
     assert per_row(names=("label", "osnr_rx")) < 80 < per_row()
-    label, osnr_rx = streams.read_columns(paths[2000], names=("label", "osnr_rx"))
+    label, osnr_rx = streams.read_part(paths[2000], names=("label", "osnr_rx")).columns
     assert len(label) == len(osnr_rx) == 2000
 
 
@@ -82,7 +82,7 @@ def test_the_parents_file_mode_read_holds_one_chunk_of_transients(tmp_path):
 
     def read():
         kept.append(streams.read_part(paths[0], split, names=names))
-        kept.append(streams.read_columns(paths[1], names=names))
+        kept.append(streams.read_part(paths[1], names=names).columns)
         kept.append(tracemalloc.get_traced_memory()[0])
 
     peak = traced_peak(read)

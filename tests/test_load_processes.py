@@ -2,7 +2,8 @@
 
 sfd.csv splits at its first line start past half the two files' bytes:
 the child reads the rows before it, and the parent the rows after it, then
-hfd.csv. An sfd.csv with a ``"`` splits by file: the child reads it whole.
+hfd.csv. An sfd.csv with no split point (it has a ``"``, or it is a FIFO)
+is read whole by the child, through the same call.
 The child sends only the columns its command reads, as lists, whichever
 path parsed its rows, and the parent builds any events. Each forked load is
 compared with an inline one (``os.fork`` deleted, or a host that reports
@@ -14,10 +15,13 @@ usable CPUs whatever the host has. After every call, no child process is
 left to reap.
 """
 
+import contextlib
 import copy
+import json
 import os
 import pickle
 import signal
+import threading
 
 import pytest
 
@@ -62,7 +66,7 @@ def set_cell(lines, row, column, value):
 
 
 def quote_header(name, lines):
-    """A quoted header cell, which reads as before but keeps sfd.csv from splitting by rows."""
+    """A quoted header cell, which reads as before but leaves sfd.csv no split point: the child reads it whole."""
     lines[0] = lines[0].replace("timestamp", '"timestamp"')
 
 
@@ -78,7 +82,7 @@ def whole_file_error(cfg, name):
     """The stderr line of a read of the whole file ``name``."""
     path = getattr(cfg.stream, f"{name}_path")
     with pytest.raises(MalformedRow) as exc:
-        streams.read_columns(path, column_map=cfg.stream.column_map)
+        streams.read_part(path, column_map=cfg.stream.column_map)
     return f"error: {exc.value}\n"
 
 
@@ -184,14 +188,14 @@ def test_the_rows_after_the_split_read_as_in_a_whole_file(tmp_path, monkeypatch,
     if seam == "blank-timestamp":
         assert results[0] == (0, "")
         sfd = cli._load_segments(cfg, CSV_COLUMNS)[0]
-        assert sfd == streams.read_columns(cfg.stream.sfd_path, column_map=cfg.stream.column_map)
+        assert sfd == streams.read_part(cfg.stream.sfd_path, column_map=cfg.stream.column_map).columns
         assert sfd[0][row - 1] == row - 1  # the row's index in the file
     else:
         assert results[0] == (4, whole_file_error(cfg, "sfd"))
 
 
 def chunk_paths(monkeypatch, path, column_map):
-    """(``read_columns``'s result, the path that parsed each chunk): "columns" or "rows"."""
+    """(``read_part``'s columns, the path that parsed each chunk): "columns" or "rows"."""
     paths = []
     chunk_columns, validate_rows = streams._chunk_columns, streams._validate_rows
 
@@ -208,7 +212,7 @@ def chunk_paths(monkeypatch, path, column_map):
     with monkeypatch.context() as patch:
         patch.setattr(streams, "_chunk_columns", columns)
         patch.setattr(streams, "_validate_rows", rows)
-        return streams.read_columns(path, column_map=column_map), paths
+        return streams.read_part(path, column_map=column_map).columns, paths
 
 
 def test_a_file_whose_chunks_mix_both_paths_loads_the_columns_of_an_inline_load(tmp_path, monkeypatch, forks):
@@ -243,19 +247,17 @@ def test_a_file_whose_chunks_mix_both_paths_loads_the_columns_of_an_inline_load(
     assert {id(e.segment) for e in sfd} == {id(Segment.SFD)} and {id(e.segment) for e in hfd} == {id(Segment.HFD)}
 
 
-@pytest.mark.parametrize(
-    "edit, read", [(None, "read_part"), (quote_header, "read_columns")], ids=["by-rows", "by-file"]
-)
-def test_a_killed_child_exits_4_naming_the_segment(tmp_path, monkeypatch, capsys, forks, edit, read):
-    """The child reads sfd.csv's head through ``read_part``, or all of a file with a quote through ``read_columns``."""
-    reader = getattr(cli, read)
+@pytest.mark.parametrize("edit", [None, quote_header], ids=["by-rows", "by-file"])
+def test_a_killed_child_exits_4_naming_the_segment(tmp_path, monkeypatch, capsys, forks, edit):
+    """The child reads sfd.csv through ``read_part``: its head, or all of a file with a quote, which has no split."""
+    reader = cli.read_part
 
     def killed_sfd(path, *args, **kwargs):
         if path.endswith("sfd.csv") and args[:1] in ((), (0,)):
             os.kill(os.getpid(), signal.SIGKILL)
         return reader(path, *args, **kwargs)
 
-    monkeypatch.setattr(cli, read, killed_sfd)
+    monkeypatch.setattr(cli, "read_part", killed_sfd)
     assert main(["drift", "--config", write_segments(tmp_path, edit), "--out", str(tmp_path / "o")]) == 4
     assert_no_children()
     captured = capsys.readouterr()
@@ -263,21 +265,27 @@ def test_a_killed_child_exits_4_naming_the_segment(tmp_path, monkeypatch, capsys
     assert captured.err == f"error: segment 'sfd': its process was killed by signal {int(signal.SIGKILL)} without a result\n"
 
 
-@pytest.mark.parametrize("edit", [None, add_site_column], ids=["canonical", "row-loop"])
+@pytest.mark.parametrize("edit", [None, add_site_column, quote_header], ids=["canonical", "row-loop", "quoted"])
 @pytest.mark.parametrize(
     "command, names",
     [(["drift"], ("label", "osnr_rx")), (["run", "--models", "lr"], CSV_COLUMNS[1:])],
     ids=["drift", "run"],
 )
 def test_the_child_sends_the_named_columns_and_no_event(tmp_path, monkeypatch, forks, edit, command, names):
-    """The child sends sfd.csv's head: ``read_part``'s named columns up to the split, with its row count and timestamps."""
+    """The child sends sfd.csv's head: ``read_part``'s named columns up to the split, with its row count and timestamps.
+
+    An sfd.csv with a quote has no split, and the head the child sends is the whole file.
+    """
     cfg_path = write_segments(tmp_path, edit)
     cfg = load_config(cfg_path)
-    whole = streams.read_columns(cfg.stream.sfd_path, column_map=cfg.stream.column_map)
-    assert len(whole) == (7 if edit is None else 8)
+    whole = streams.read_part(cfg.stream.sfd_path, column_map=cfg.stream.column_map).columns
+    assert len(whole) == (8 if edit is add_site_column else 7)
     split, row = split_of(cfg)
     head = streams.read_part(cfg.stream.sfd_path, 0, split, column_map=cfg.stream.column_map)
-    assert head.rows == row - 1 and 0 < head.rows < len(whole[0])
+    if edit is quote_header:
+        assert split is None and head == streams.read_part(cfg.stream.sfd_path, column_map=cfg.stream.column_map)
+    else:
+        assert head.rows == row - 1 and 0 < head.rows < len(whole[0])
     received = []
     load = pickle.load
 
@@ -302,6 +310,65 @@ def test_the_child_sends_the_named_columns_and_no_event(tmp_path, monkeypatch, f
     assert sent.columns == tuple(head.columns[CSV_COLUMNS.index(name)] for name in names)
     assert all(type(column) is list for column in sent.columns)
     assert (out / "drift_events.csv").read_bytes().count(b"\n") > 2
+
+
+def fed_through_a_fifo(path):
+    """A FIFO that a writer thread feeds the bytes of the file ``path`` once a reader opens it, and the thread.
+
+    A FIFO, not ``os.pipe``: a forked child would inherit a pipe's write end
+    and never see its end of file. The command opens no FIFO before it
+    forks, so until then the writer waits in ``open``, holding no end and
+    no lock that the child could inherit.
+    """
+    fifo = f"{path}.fifo"
+    os.mkfifo(fifo)
+    with open(path, "rb") as fh:
+        data = fh.read()
+
+    def feed():
+        with contextlib.suppress(BrokenPipeError), open(fifo, "wb") as fh:  # a reader may close its end early
+            fh.write(data)
+
+    thread = threading.Thread(target=feed, daemon=True)
+    thread.start()
+    return fifo, thread
+
+
+@pytest.mark.parametrize("inline", [None, one_cpu], ids=["forks", "one-cpu"])
+@pytest.mark.parametrize("piped", [("sfd",), ("hfd",), ("sfd", "hfd")], ids="-".join)
+@pytest.mark.parametrize("command", [["drift"], ["run", "--models", "lr"]], ids=["drift", "run"])
+def test_a_segment_read_from_a_fifo_writes_the_bytes_of_a_regular_file(tmp_path, monkeypatch, capsys, forks, inline,
+                                                                        piped, command):
+    """A FIFO cannot seek and has no split point: a piped sfd.csv is read whole, and either file from its first byte."""
+    if inline is not None:
+        inline(monkeypatch)
+    cfg = write_segments(tmp_path)
+    assert main([*command, "--config", cfg, "--out", str(tmp_path / "files"), "--quiet"]) == 0
+    assert_no_children()
+    with open(cfg, encoding="utf-8") as fh:
+        data = json.load(fh)
+    threads = {}
+    for name in piped:
+        fifo, threads[fifo] = fed_through_a_fifo(data["stream"][f"{name}_path"])
+        data["stream"][f"{name}_path"] = fifo
+    (tmp_path / "cfg_fifo.json").write_text(json.dumps(data), encoding="utf-8")
+    code = main([*command, "--config", str(tmp_path / "cfg_fifo.json"), "--out", str(tmp_path / "fifos"), "--quiet"])
+    assert_no_children()
+    for fifo, thread in threads.items():
+        thread.join(5)
+        if thread.is_alive():  # a failed read left its writer waiting: read the rest, so that it ends
+            with open(fifo, "rb") as fh:
+                fh.read()
+            thread.join(5)
+        assert not thread.is_alive()
+    assert (code, capsys.readouterr().err) == (0, "")
+    assert len(forks) == (2 if inline is None else 0)
+    files, fifos = read_bytes_tree(tmp_path / "files"), read_bytes_tree(tmp_path / "fifos")
+    files.pop("manifest.json")  # it names the input files
+    fifos.pop("manifest.json")
+    assert fifos == files
+    expected = {"drift_events.csv"} if command == ["drift"] else {"drift_events.csv", "lr_metrics.csv", "summary.json"}
+    assert set(files) == expected
 
 
 EMPTY = {"no-bytes": "", "header-only": "timestamp,ber_tx,osnr_tx,ber_rx,OSNR_SPO2,label,segment\n"}

@@ -192,7 +192,7 @@ _WITH_SITE = "\n".join(
 
 def _columns_or_error(path, **kwargs):
     try:
-        return streams.read_columns(path, **kwargs)
+        return streams.read_part(path, **kwargs).columns
     except MalformedRow as err:
         return ("error", str(err), err.row)
 
@@ -202,9 +202,9 @@ def _columns_or_error(path, **kwargs):
 @example((_NO_TIMESTAMP + "\n", None), Segment.SFD, ["label", "timestamp"])
 @example((_WITH_SITE + "\n", None), Segment.HFD, ["osnr_rx", "segment", "timestamp"])
 def test_load_csv_equals_the_per_row_loop_for_any_chunk_size(tmp_path_factory, file, default_segment, names):
-    """Without a timestamp column, ``read_columns`` gives the per-row loop's ``index`` defaults as a range.
+    """Without a timestamp column, ``read_part`` gives the per-row loop's ``index`` defaults as a range.
 
-    ``read_columns`` with ``names`` returns the full read's columns at those
+    ``read_part`` with ``names`` returns the full read's columns at those
     positions, a range staying a range, or raises the full read's error.
     """
     text, column_map = file
@@ -220,7 +220,7 @@ def test_load_csv_equals_the_per_row_loop_for_any_chunk_size(tmp_path_factory, f
             streams._CHUNK_ROWS = size
             assert _outcome(load_csv, path, **kwargs) == expected, size
             if positional:
-                timestamps = streams.read_columns(path, **kwargs)[0]
+                timestamps = streams.read_part(path, **kwargs).columns[0]
                 assert type(timestamps) is range and list(timestamps) == [event[1] for event in expected], size
             full = _columns_or_error(path, **kwargs)
             picked = tuple(full[CSV_COLUMNS.index(name)] for name in names) if isinstance(expected, list) else full
@@ -230,8 +230,8 @@ def test_load_csv_equals_the_per_row_loop_for_any_chunk_size(tmp_path_factory, f
 
 
 def _load_pickled_columns(path, **kwargs):
-    """load_csv, with ``read_columns``'s result sent through pickle as a forked child sends it."""
-    columns = streams.read_columns(path, **kwargs)
+    """load_csv, with ``read_part``'s columns sent through pickle as a forked child sends them."""
+    columns = streams.read_part(path, **kwargs).columns
     # nothing that pickles through itertools, which Python 3.14 stops pickling
     assert all(type(column) in (list, range) for column in columns)
     return list(map(TelemetryEvent, *pickle.loads(pickle.dumps(columns))))
