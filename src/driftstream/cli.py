@@ -8,8 +8,9 @@ outputs so a run can be reproduced from the manifest alone. ``run``,
 but the last goes to one forked child (for ``gen`` and the file-mode load,
 the first rows of sfd.csv, about half of both files' rows), the last stays
 in this process, and one pipe carries the child's messages, its result
-last. When arf is that last model, the child first pretrains the last half
-of its tree slots (rounded down) and hands them over on the same pipe.
+last. When arf is that last model, the child first pretrains its last tree
+slots (two fifths to the nearest in ``run``, half rounded down in
+``bench``) and hands them over on the same pipe.
 ``run``, ``bench`` and ``drift`` merge the stream as columns in
 ``_assemble``, and each segment arrives from ``_load_segments`` as only the
 columns the command reads, dropped in the process that loaded it: ``drift``
@@ -441,16 +442,14 @@ def _opened(message):
     return message[1]
 
 
-def _run_models(cfg: ExperimentConfig, pretrain, work) -> dict:
+def _run_models(cfg: ExperimentConfig, pretrain, work, forked_slots: int) -> dict:
     """``work(name, slots, share)`` per model through ``_run_forked``, with ``(None, None)`` unless arf splits.
 
     When arf is the last of several models and they fork, the child first
-    pretrains arf's last ``n_trees // 2`` slots, if any, and this process's
+    pretrains arf's last ``forked_slots`` slots, if any, and this process's
     arf gets the others and the ``share``.
     """
-    # Half the slots, in run and bench alike: the child's half of the pretrain plus lr and nb about
-    # matches this process's half plus arf's streamed arms (run) or timed trials (bench).
-    split = cfg.arf.n_trees - cfg.arf.n_trees // 2
+    split = cfg.arf.n_trees - forked_slots
     head, tail = range(split), range(split, cfg.arf.n_trees)
     first = (lambda: _pretrained(cfg, "arf", pretrain, tail)) if cfg.models[-1] == "arf" and tail else None
     return _run_forked("model", cfg.models, lambda name, share: work(name, share and head, share), first)
@@ -468,8 +467,13 @@ def cmd_run(cfg: ExperimentConfig, args: argparse.Namespace) -> None:
     columns, boundary = _assemble(cfg, _EVENT_FIELDS)
     _localize(cfg, _EVENT_FIELDS, columns)
     pretrain, stream = _events(columns, boundary)
+    # Two fifths of the slots, to the nearest, go to the child: its share of the pretrain plus lr and nb about
+    # matches this process's share plus arf's streamed arms, both block passes.
     entries = _run_models(
-        cfg, pretrain, lambda n, slots, share: _run_model(cfg, n, pretrain, stream, args.save_models, slots, share)
+        cfg,
+        pretrain,
+        lambda n, slots, share: _run_model(cfg, n, pretrain, stream, args.save_models, slots, share),
+        (2 * cfg.arf.n_trees + 1) // 5,
     )
     summary = {
         "window": cfg.window,
@@ -521,6 +525,8 @@ def cmd_bench(cfg: ExperimentConfig, args: argparse.Namespace) -> None:
             trials=cfg.bench.trials,
             warmup_trials=cfg.bench.warmup_trials,
         ),
+        # half the slots, rounded down, go to the child: this process waits for them before it times anything
+        cfg.arf.n_trees // 2,
     )
     report = dataclasses.replace(
         report_of[cfg.models[-1]],

@@ -21,6 +21,7 @@ from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from copy import deepcopy
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -158,12 +159,19 @@ class ExperimentReport:
 
 
 def _pretrain(model, events: Sequence[TelemetryEvent], shuffle_seed: SeedLike, epochs: int, share=None) -> None:
-    """``epochs`` passes over ``events`` in one order drawn from ``shuffle_seed``; then ``share()``'s slots joined."""
+    """``epochs`` passes over ``events`` in one order drawn from ``shuffle_seed``; then ``share()``'s slots joined.
+
+    A model with a block pass (``learn_many``) takes each pass through it; any other learns one event at a time.
+    """
     order = np.random.default_rng(shuffle_seed).permutation(len(events))
+    learn_many = getattr(model, "learn_many", None)
     for _ in range(epochs):
-        for idx in order:
-            event = events[int(idx)]
-            model.learn_one(to_features(event), int(event.label))
+        if learn_many is not None:
+            learn_many((to_features(events[idx]) for idx in order), (int(events[idx].label) for idx in order))
+        else:
+            for idx in order:
+                event = events[int(idx)]
+                model.learn_one(to_features(event), int(event.label))
     if share is not None:
         model.join(share())
 
@@ -214,14 +222,28 @@ def prequential_run(
 
     metrics = {"static": RollingMetrics(window), "online": RollingMetrics(window)}
     labels: list[int] = []
+    # a block pass learns the whole stream first; it scores each event as score_one would have before learning it
+    learn_many = getattr(online_model, "learn_many", None)
+    online_scores: list[float] = []
+    failure = None
+    if learn_many is not None:
+        try:
+            learn_many(map(to_features, stream), (int(event.label) for event in stream), online_scores)
+        except Exception as err:  # raised below at its index, after the static arm's score there
+            failure = err
 
     for i, event in enumerate(stream):
         x = to_features(event)
         y = int(event.label)
         try:
             s_static = static_model.score_one(x)
-            s_online = online_model.score_one(x)
-            online_model.learn_one(x, y)
+            if learn_many is None:
+                s_online = online_model.score_one(x)
+                online_model.learn_one(x, y)
+            elif i < len(online_scores):
+                s_online = online_scores[i]
+            else:
+                raise failure
             for name, score in (("static", s_static), ("online", s_online)):
                 accuracy, auc, degenerate = metrics[name].update(y, score)
                 arm = arms[name]
@@ -286,18 +308,16 @@ def export_report(report: ExperimentReport, path: str, fmt: str = "csv") -> str:
                 for pos, name, accuracy, auc, degenerate in _metric_rows(report)
             )
     elif fmt == "json":
-        series = [
-            {
-                "event_index": row[0],
-                "arm": row[1],
-                "rolling_accuracy": row[2],
-                "rolling_auc": row[3],
-                "auc_degenerate": row[4],
-            }
-            for row in _metric_rows(report)
-        ]
+        # json.dump would stream through the pure-Python encoder, and one dumps of the whole
+        # series would hold all of it at once: dumps of 1,024 rows at a time keeps the C one
+        rows = _metric_rows(report)
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump({"window": report.window, "series": series}, fh)
+            fh.write(f'{{"window": {json.dumps(report.window)}, "series": [')
+            separator = ""
+            while chunk := list(islice(rows, 1024)):
+                fh.write(separator + json.dumps([dict(zip(METRIC_COLUMNS, row)) for row in chunk])[1:-1])
+                separator = ", "
+            fh.write("]}")
     else:
         raise ValueError(f"unknown format: {fmt}")
     return path

@@ -13,7 +13,8 @@ trained in shares: each share learns some slots and joins the others later.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from itertools import islice
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -23,6 +24,8 @@ from .base import check_sample
 from .tree import HoeffdingTree, _rng_from_state, _rng_state, _SplitNode
 
 SeedLike = Union[int, np.random.SeedSequence, None]
+
+BLOCK = 256  # samples per block of learn_many; 1,024 read 0.3 MB more peak RSS on paper-run at about the same speed
 
 
 class AdaptiveRandomForest:
@@ -36,10 +39,13 @@ class AdaptiveRandomForest:
     samples and bagging weights, never on when other slots spawned, and runs
     are reproducible whichever slots learn together.
 
-    ``learning`` is the range of slots that ``learn_one`` updates, every
-    slot by default; ``learn_one`` still draws every slot's bagging weight. A forest restricted to some slots is a
-    share, and ``join`` takes the slots another share of the same forest
-    learned from the same samples.
+    ``learning`` is the range of slots that ``learn_one`` and ``learn_many``
+    update, every slot by default; both still draw every slot's bagging
+    weight. A forest restricted to some slots is a share, and ``join``
+    takes the slots another share of the same forest learned from the same
+    samples. Since slots share nothing else, ``learn_many`` learns a pass
+    one slot at a time over blocks of samples, with the state and scores of
+    ``score_one`` then ``learn_one`` per sample.
 
     ``bagging=False`` forces every sample weight to 1 and
     ``drift_detection=False`` disables the per-tree detectors; with one tree
@@ -168,17 +174,99 @@ class AdaptiveRandomForest:
                 continue
             # the 0/1 error is finite by construction: skip update()'s check
             if warn[i]._step(error) and backgrounds[i] is None:
-                backgrounds[i] = self._new_tree(self._slot_seeds[i].spawn(1)[0])
-                self.n_warnings += 1
+                self._start_background(i)
             if drift[i]._step(error):
-                replacement = backgrounds[i]
-                if replacement is None:
-                    replacement = self._new_tree(self._slot_seeds[i].spawn(1)[0])
-                trees[i] = replacement
-                backgrounds[i] = None
-                warn[i] = self._new_detector(self.warn_threshold)
-                drift[i] = self._new_detector(self.drift_threshold)
-                self.n_replacements += 1
+                self._replace(i)
+
+    def learn_many(self, xs: Iterable[Sequence[float]], ys: Iterable[int], scores: Optional[list] = None) -> None:
+        """``learn_one`` per sample in turn, to the same state bit for bit, run slot by slot over blocks of samples.
+
+        A block's bagging weights come from one draw, which yields the same
+        values as a draw per sample and leaves the generator in the same
+        state. Each slot then takes the block's samples in order, and one
+        routing per sample gives that slot's score, its prequential error and
+        its update. ``scores``, if given, is extended with each sample's
+        pre-update ``score_one``: the slots' probabilities are summed in slot
+        order, as ``score_one`` sums them.
+
+        Every sample of a block is checked first. On a bad one the samples
+        before it are learned and scored, then ``learn_one``'s error for it
+        is raised, so the forest ends as a loop of ``learn_one`` ends. Any
+        other error, raised by a slot at some sample, stops every later slot
+        at that sample too, so ``scores`` holds the samples before the first
+        failing one and the error is the one the loop would raise first.
+        """
+        samples = zip(xs, ys)
+        while block := list(islice(samples, BLOCK)):
+            self._learn_block(block, scores)
+
+    def _learn_block(self, block: list, scores: Optional[list]) -> None:
+        limit, failure = len(block), None
+        for r, (x, y) in enumerate(block):
+            try:
+                check_sample(x, self.n_features, y)
+            except Exception as err:
+                limit, failure = r, err
+                break
+        if self.bagging:
+            weights = self._bag_rng.poisson(self.lambda_bag, size=(limit, self.n_trees)).T.tolist()
+        else:
+            weights = [[1] * limit] * self.n_trees
+        totals = [0.0] * limit if scores is not None else None
+        trees, backgrounds, warn, drift = self.trees, self._background, self._warn, self._drift
+        detection = self.drift_detection
+        for i in range(self.n_trees):
+            learns = i in self.learning
+            if not learns and totals is None:
+                continue
+            tree, background = trees[i], backgrounds[i]
+            warn_step, drift_step = warn[i]._step, drift[i]._step
+            try:
+                for r, (x, y), k in zip(range(limit), block, weights[i]):
+                    routed = tree._route(x)
+                    c0, c1 = routed[0].counts  # the leaf's probability(), computed in place
+                    p = (c1 + 1.0) / (c0 + c1 + 2.0)
+                    if totals is not None:
+                        totals[r] += p
+                    if not learns:
+                        continue
+                    if k > 0:
+                        tree._learn_routed(routed, x, y, k)
+                        if background is not None:
+                            background._learn_routed(background._route(x), x, y, k)
+                    if not detection:
+                        continue
+                    error = 0.0 if (p >= 0.5) == (y == 1) else 1.0
+                    if warn_step(error) and background is None:
+                        background = self._start_background(i)
+                    if drift_step(error):
+                        tree, background = self._replace(i), None
+                        warn_step, drift_step = warn[i]._step, drift[i]._step
+            except Exception as err:  # the later slots stop at this sample too
+                limit, failure = r, err
+        if totals is not None:
+            n_trees = self.n_trees
+            scores.extend(total / n_trees for total in totals[:limit])
+        if failure is not None:
+            raise failure
+
+    def _start_background(self, i: int) -> HoeffdingTree:
+        """Slot ``i`` warned with no background tree: start one, spawned from the slot's seed sequence."""
+        background = self._background[i] = self._new_tree(self._slot_seeds[i].spawn(1)[0])
+        self.n_warnings += 1
+        return background
+
+    def _replace(self, i: int) -> HoeffdingTree:
+        """Slot ``i`` drifted: its background tree, or a fresh one, replaces its tree, with fresh detectors."""
+        tree = self._background[i]
+        if tree is None:
+            tree = self._new_tree(self._slot_seeds[i].spawn(1)[0])
+        self.trees[i] = tree
+        self._background[i] = None
+        self._warn[i] = self._new_detector(self.warn_threshold)
+        self._drift[i] = self._new_detector(self.drift_threshold)
+        self.n_replacements += 1
+        return tree
 
     # -- persistence ---------------------------------------------------------
 

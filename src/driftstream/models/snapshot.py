@@ -33,7 +33,7 @@ def snapshot_json(model) -> str:
 
 def save_model(model, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(snapshot_dict(model), fh, sort_keys=True)
+        fh.write(snapshot_json(model))  # json.dumps encodes in C, json.dump in pure Python
 
 
 def restore_model(data: dict):

@@ -353,14 +353,17 @@ def test_online_arm_that_already_learned_is_rejected():
 
 
 class FailingForest(AdaptiveRandomForest):
-    """A forest whose ``learn_one`` raises NonFiniteInput(``name``) on the features ``fails_on``."""
+    """A forest whose block pass raises NonFiniteInput(``name``) when it reaches the features ``fails_on``."""
 
     fails_on, name = None, ""
 
-    def learn_one(self, x, y):
+    def learn_many(self, xs, ys, scores=None):
+        super().learn_many(map(self._checked, xs), ys, scores)
+
+    def _checked(self, x):
         if x == self.fails_on:
             raise NonFiniteInput(self.name)
-        super().learn_one(x, y)
+        return x
 
 
 def forest_pair(head_slots=None, fails_on=None, name=""):
@@ -410,6 +413,37 @@ def test_a_forest_pretrained_in_two_shares_runs_as_the_whole_forest_bit_for_bit(
     assert split == whole
     assert snapshot_json(static_split) == snapshot_json(static_model)
     assert snapshot_json(online_split) == snapshot_json(online_model)
+
+
+class PerEventForest(AdaptiveRandomForest):
+    """A forest without a block pass: the harness pretrains and streams it one event at a time."""
+
+    learn_many = None
+
+
+def test_the_block_pass_runs_the_forest_as_the_per_event_loop_bit_for_bit():
+    pretrain, stream = flip_streams()
+    per_event = [PerEventForest(n_trees=4, seed=5) for _ in range(2)]
+    expected = prequential_run(*per_event, pretrain, stream, window=50, shuffle_seed=2, epochs=2)
+    assert per_event[1].n_replacements > per_event[0].n_replacements  # the stream replaced trees
+    block = [AdaptiveRandomForest(n_trees=4, seed=5) for _ in range(2)]
+    assert prequential_run(*block, pretrain, stream, window=50, shuffle_seed=2, epochs=2) == expected
+    assert [snapshot_json(model) for model in block] == [snapshot_json(model) for model in per_event]
+
+
+@pytest.mark.parametrize("at", [0, 5, 300])
+def test_a_bad_event_aborts_the_block_pass_at_the_per_event_loops_index_and_state(at):
+    pretrain, stream = flip_streams()
+    stream[at] = make_event(at, osnr_rx=math.nan, segment=Segment.HFD)
+    aborts, online = [], []
+    for cls in (PerEventForest, AdaptiveRandomForest):
+        pair = [cls(n_trees=4, seed=5) for _ in range(2)]
+        with pytest.raises(PrequentialAbort) as exc:
+            prequential_run(*pair, pretrain, stream, window=50, shuffle_seed=2)
+        aborts.append((exc.value.index, type(exc.value.cause), str(exc.value)))
+        online.append(snapshot_json(pair[1]))
+    assert aborts[0] == aborts[1] == (at, NonFiniteInput, f"model error at stream index {at}: non-finite feature value")
+    assert online[0] == online[1]
 
 
 @pytest.mark.parametrize(
@@ -514,6 +548,31 @@ def test_export_csv_bytes_equal_a_csv_writer_reference(tmp_path_factory, report)
                 arm = report.arms[name]
                 writer.writerow([pos, name, repr(arm.accuracy[pos]), repr(arm.auc[pos]), int(arm.auc_degenerate[pos])])
     assert open(path, "rb").read() == open(reference, "rb").read()
+
+
+@settings(max_examples=50, deadline=None)
+@given(_reports(), st.integers(1, 80))
+def test_export_json_bytes_equal_one_json_dump_of_the_series(tmp_path_factory, report, repeats):
+    # repeated, the rows cross the export's 1,024-row chunks
+    arms = {
+        name: ArmSeries(accuracy=arm.accuracy * repeats, auc=arm.auc * repeats,
+                        auc_degenerate=arm.auc_degenerate * repeats)
+        for name, arm in report.arms.items()
+    }
+    report = ExperimentReport(window=report.window, labels=report.labels * repeats, arms=arms)
+    path = str(tmp_path_factory.mktemp("export") / "metrics.json")
+    export_report(report, path, "json")
+    series = [
+        {"event_index": pos, "arm": name, "rolling_accuracy": report.arms[name].accuracy[pos],
+         "rolling_auc": report.arms[name].auc[pos], "auc_degenerate": int(report.arms[name].auc_degenerate[pos])}
+        for pos in range(len(report.labels))
+        for name in ("static", "online")
+    ]
+    with open(path, encoding="utf-8") as fh:
+        written = fh.read()
+    expected = json.dumps({"window": report.window, "series": series})
+    # compared a row to a line, so that a failure's explanation stays cheap
+    assert written.replace("}, {", "},\n{").splitlines() == expected.replace("}, {", "},\n{").splitlines()
 
 
 def test_summary_reports_both_gap_definitions():

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import math
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 
 from driftstream.errors import DriftStreamError, SnapshotError
 from driftstream.models import AdaptiveRandomForest, HoeffdingTree
+from driftstream.models import forest as forest_module
 from driftstream.models.snapshot import restore_model, snapshot_dict, snapshot_json
 from driftstream.models.tree import _Leaf, _SplitNode
 
@@ -229,3 +233,53 @@ def test_each_slot_learns_alone_as_it_learns_in_the_whole_forest(seed, n_trees, 
         joined.join(share)
     assert snapshot_json(joined) == snapshot_json(whole)
     assert [joined.score_one(x) for x, _ in stream[:50]] == [whole.score_one(x) for x, _ in stream[:50]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_trees=st.integers(1, 5),
+    slots=st.tuples(st.integers(0, 4), st.integers(1, 5)),
+    bagging=st.booleans(),
+    drift_detection=st.booleans(),
+    max_features=st.sampled_from([2, None]),
+    block=st.sampled_from([1, 3, 7, forest_module.BLOCK]),
+    n=st.integers(150, 500),
+    bad=st.one_of(st.none(), st.tuples(st.floats(0, 1, exclude_max=True), st.sampled_from(["nan", "inf", "label"]))),
+)
+def test_the_block_pass_scores_and_learns_as_score_one_then_learn_one(
+    seed, n_trees, slots, bagging, drift_detection, max_features, block, n, bad
+):
+    # the label flip and low thresholds drive the detectors to warnings and replacements
+    stream = [(x, 1 - y if i >= n // 2 else y) for i, (x, y) in enumerate(random_stream(n, seed % 1000))]
+    if bad is not None:  # one bad sample, at a drawn position
+        at, kind = int(bad[0] * n), bad[1]
+        x, y = stream[at]
+        stream[at] = ((x[0], math.nan if kind == "nan" else math.inf, *x[2:]), y) if kind != "label" else (x, 2)
+    lo = min(slots[0], n_trees - 1)
+    hi = max(lo + 1, min(slots[1], n_trees))
+    forests = []
+    for _ in range(2):
+        forests.append(AdaptiveRandomForest(
+            n_trees=n_trees, max_features=max_features, bagging=bagging, drift_detection=drift_detection,
+            warn_threshold=3.0, drift_threshold=6.0, seed=seed,
+        ))
+        forests[-1].learning = range(lo, hi)
+    one, many = forests
+    expected, error = [], None
+    try:
+        for x, y in stream:
+            score = one.score_one(x)
+            one.learn_one(x, y)
+            expected.append(score)
+    except DriftStreamError as err:
+        error = err
+    scores = []
+    with mock.patch.object(forest_module, "BLOCK", block):
+        if error is None:
+            many.learn_many([x for x, _ in stream], [y for _, y in stream], scores)
+        else:
+            with pytest.raises(type(error), match=f"^{re.escape(str(error))}$"):
+                many.learn_many((x for x, _ in stream), (y for _, y in stream), scores)
+    assert scores == expected
+    assert snapshot_json(many) == snapshot_json(one)
