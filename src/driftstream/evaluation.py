@@ -21,7 +21,6 @@ from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from copy import deepcopy
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -210,6 +209,9 @@ def prequential_run(
     scores, and only then the online model learns from the true label. The
     static model is never updated after pretraining. Both arms see the
     identical event sequence. Model exceptions abort with the failing index.
+    After an abort the online model is in the per-event loop's state when a
+    sample failed its check; after any other error of a block pass
+    (``learn_many``) its state is unspecified.
     """
     if static_model.to_state() != online_model.to_state():
         raise ValueError("static and online arms must start in the same state")
@@ -308,16 +310,18 @@ def export_report(report: ExperimentReport, path: str, fmt: str = "csv") -> str:
                 for pos, name, accuracy, auc, degenerate in _metric_rows(report)
             )
     elif fmt == "json":
-        # json.dump would stream through the pure-Python encoder, and one dumps of the whole
-        # series would hold all of it at once: dumps of 1,024 rows at a time keeps the C one
-        rows = _metric_rows(report)
+        series = [
+            {
+                "event_index": row[0],
+                "arm": row[1],
+                "rolling_accuracy": row[2],
+                "rolling_auc": row[3],
+                "auc_degenerate": row[4],
+            }
+            for row in _metric_rows(report)
+        ]
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f'{{"window": {json.dumps(report.window)}, "series": [')
-            separator = ""
-            while chunk := list(islice(rows, 1024)):
-                fh.write(separator + json.dumps([dict(zip(METRIC_COLUMNS, row)) for row in chunk])[1:-1])
-                separator = ", "
-            fh.write("]}")
+            json.dump({"window": report.window, "series": series}, fh)
     else:
         raise ValueError(f"unknown format: {fmt}")
     return path

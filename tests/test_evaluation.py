@@ -550,31 +550,6 @@ def test_export_csv_bytes_equal_a_csv_writer_reference(tmp_path_factory, report)
     assert open(path, "rb").read() == open(reference, "rb").read()
 
 
-@settings(max_examples=50, deadline=None)
-@given(_reports(), st.integers(1, 80))
-def test_export_json_bytes_equal_one_json_dump_of_the_series(tmp_path_factory, report, repeats):
-    # repeated, the rows cross the export's 1,024-row chunks
-    arms = {
-        name: ArmSeries(accuracy=arm.accuracy * repeats, auc=arm.auc * repeats,
-                        auc_degenerate=arm.auc_degenerate * repeats)
-        for name, arm in report.arms.items()
-    }
-    report = ExperimentReport(window=report.window, labels=report.labels * repeats, arms=arms)
-    path = str(tmp_path_factory.mktemp("export") / "metrics.json")
-    export_report(report, path, "json")
-    series = [
-        {"event_index": pos, "arm": name, "rolling_accuracy": report.arms[name].accuracy[pos],
-         "rolling_auc": report.arms[name].auc[pos], "auc_degenerate": int(report.arms[name].auc_degenerate[pos])}
-        for pos in range(len(report.labels))
-        for name in ("static", "online")
-    ]
-    with open(path, encoding="utf-8") as fh:
-        written = fh.read()
-    expected = json.dumps({"window": report.window, "series": series})
-    # compared a row to a line, so that a failure's explanation stays cheap
-    assert written.replace("}, {", "},\n{").splitlines() == expected.replace("}, {", "},\n{").splitlines()
-
-
 def test_summary_reports_both_gap_definitions():
     report = small_report()
     assert "max_accuracy_gap_points" in report.summary
